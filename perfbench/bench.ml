@@ -28,7 +28,8 @@ let per_layer =
     ("mc.chunk_wall_p50_s", "s"); ("gc.minor_words_per_shot", "words");
     ("gc.major_collections", "count"); ("campaign.flushes", "count");
     ("campaign.flush_s", "s"); ("campaign.ledger_bytes", "bytes");
-    ("campaign.load_s", "s"); ("svc.hit_ratio", "ratio");
+    ("campaign.load_s", "s"); ("campaign.replay_ms", "ms");
+    ("svc.hit_ratio", "ratio"); ("svc.hit_p50_ms", "ms");
     ("svc.cache_lookup_us", "us"); ("svc.admission_us", "us");
     ("svc.queue_wait_ms", "ms"); ("svc.execute_ms", "ms"); ("svc.encode_ms", "ms");
     ("codec.reply_bytes", "bytes"); ("codec.ping_us", "us");
@@ -107,11 +108,14 @@ let compute_run a spec o =
   end
   else begin
     let trace_file = Filename.concat o.Compute.workdir "trace.json" in
-    let untraced, traced_ops, single, obs, spans, rp, replay_ok =
+    let untraced, traced_ops, single, obs, spans, rp, replay_ok, journal =
       Compute.traced spec o ~seconds:a.seconds ~trace_file
     in
     let v = Compute.check spec o (untraced @ traced_ops @ single) in
-    let layers = Compute.layer_metrics spec ~untraced ~traced_ops ~single ~obs ~spans ~rp in
+    let layers =
+      Compute.layer_metrics spec ~untraced ~traced_ops ~single ~obs ~spans ~rp
+        ~hits:v.hits ~journal
+    in
     finish ~attempted:(v.attempted + 1)
       ~failed:(v.failed + if replay_ok then 0 else 1)
       (complete layers)

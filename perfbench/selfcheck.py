@@ -101,7 +101,7 @@ def main():
     p.add_argument("--seeds", type=int, default=10)
     p.add_argument("--workloads", default=",".join(WORKLOADS))
     p.add_argument("--target", default="steane-concat")
-    p.add_argument("--delay", type=float, default=0.25)
+    p.add_argument("--delay", type=float, default=0.3)
     args = p.parse_args()
     args.workloads = args.workloads.split(",")
     return cmd_spread(args) if args.mode == "spread" else cmd_sensitivity(args)
