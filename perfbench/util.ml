@@ -1,5 +1,5 @@
 (* Measurement helpers shared by every workload: clocks, order
-   statistics, process counters and the metric record the driver
+   statistics, process counters and the metric record the benchmark
    prints. *)
 
 module Json = Ftqc.Obs.Json
