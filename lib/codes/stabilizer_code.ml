@@ -285,18 +285,24 @@ let encoding_circuit_via_measurement code =
     fixups;
   !c
 
+(* Filled lazily and reachable from worker domains (through [Ft.Sim]
+   and [Ft.Shor_ec]), so every access holds the lock; a decoder, once
+   built, is read-only and safe to share. *)
 let default_decoders : (string, decoder) Hashtbl.t = Hashtbl.create 8
+let default_decoders_lock = Mutex.create ()
 
 let register_default_decoder code d =
-  Hashtbl.replace default_decoders code.name d
+  Mutex.protect default_decoders_lock (fun () ->
+      Hashtbl.replace default_decoders code.name d)
 
 let default_decoder code =
-  match Hashtbl.find_opt default_decoders code.name with
-  | Some d -> d
-  | None ->
-    let d = lookup_decoder code in
-    Hashtbl.add default_decoders code.name d;
-    d
+  Mutex.protect default_decoders_lock (fun () ->
+      match Hashtbl.find_opt default_decoders code.name with
+      | Some d -> d
+      | None ->
+        let d = lookup_decoder code in
+        Hashtbl.add default_decoders code.name d;
+        d)
 
 let ideal_recover ?decoder code tab rng =
   let d = match decoder with Some d -> d | None -> default_decoder code in

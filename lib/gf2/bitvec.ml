@@ -126,6 +126,13 @@ let of_bool_list bs =
 
 let to_bool_list v = List.init v.len (get v)
 
+let unpack_into v bits =
+  if Array.length bits <> v.len then invalid_arg "Bitvec.unpack_into";
+  for i = 0 to v.len - 1 do
+    let b = Char.code (Bytes.unsafe_get v.words (i lsr 3)) in
+    Array.unsafe_set bits i (b land (1 lsl (i land 7)) <> 0)
+  done
+
 let of_int_list xs =
   let f = function
     | 0 -> false

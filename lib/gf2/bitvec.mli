@@ -65,6 +65,10 @@ val of_bool_list : bool list -> t
 (** [to_bool_list v] unpacks to a list of bits. *)
 val to_bool_list : t -> bool list
 
+(** [unpack_into v bits] overwrites [bits] (of length [length v]) with
+    the bits of [v]; allocates nothing. *)
+val unpack_into : t -> bool array -> unit
+
 (** [of_int_list xs] packs a list of 0/1 integers.  Raises
     [Invalid_argument] on values other than 0 or 1. *)
 val of_int_list : int list -> t

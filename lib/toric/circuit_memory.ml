@@ -9,25 +9,6 @@ type result = {
   rate : float;
 }
 
-(* space-time graph over [rounds]+1 detection layers (noisy rounds plus
-   the final noise-free readout layer) *)
-let build_graph lat ~layers =
-  let np = Lattice.num_plaquettes lat in
-  let g = Match_graph.create ~num_nodes:(np * layers) in
-  let spatial_qubit = Hashtbl.create (Lattice.num_qubits lat * layers) in
-  for t = 0 to layers - 1 do
-    for e = 0 to Lattice.num_qubits lat - 1 do
-      let a, b = Lattice.edge_endpoints lat e in
-      let id = Match_graph.add_edge g ((t * np) + a) ((t * np) + b) in
-      Hashtbl.add spatial_qubit id e
-    done;
-    if t < layers - 1 then
-      for p = 0 to np - 1 do
-        ignore (Match_graph.add_edge g ((t * np) + p) (((t + 1) * np) + p))
-      done
-  done;
-  (g, spatial_qubit)
-
 let plaquette_op lat ~total ~x ~y =
   List.fold_left
     (fun acc e -> Pauli.mul acc (Pauli.single total e Pauli.Z))
@@ -45,17 +26,18 @@ let logical_z_ops lat ~total =
     z_on (List.init l (fun x -> Lattice.h_edge lat ~x ~y:0)) )
 
 (* Everything a trial needs that is worth building once: lattice,
-   space-time graph, logical operators, plaquette checks.  All
-   read-only during trials, so one setup is shared across worker
-   domains. *)
+   space-time graph over [rounds]+1 detection layers (noisy rounds
+   plus the final noise-free readout layer), logical operators,
+   plaquette checks.  All read-only during trials, so one setup is
+   shared across worker domains; each domain decodes through its own
+   [Decoder.workspace]. *)
 type setup = {
   s_l : int;
   lat : Lattice.t;
   nq : int;
   np : int;
   total : int;
-  g : Match_graph.t;
-  spatial_qubit : (int, int) Hashtbl.t;
+  graph : Decoder.graph;
   z1 : Pauli.t;
   z2 : Pauli.t;
   plaq_ops : Pauli.t array;
@@ -67,19 +49,16 @@ let make_setup ~l ~rounds =
   let nq = Lattice.num_qubits lat in
   let np = Lattice.num_plaquettes lat in
   let total = nq + np in
-  let layers = rounds + 1 in
-  let g, spatial_qubit = build_graph lat ~layers in
+  let graph = Decoder.graph ~layers:(rounds + 1) lat in
   let z1, z2 = logical_z_ops lat ~total in
   let plaq_ops =
     Array.init np (fun p ->
         plaquette_op lat ~total ~x:(p mod l) ~y:(p / l))
   in
-  { s_l = l; lat; nq; np; total; g; spatial_qubit; z1; z2; plaq_ops }
+  { s_l = l; lat; nq; np; total; graph; z1; z2; plaq_ops }
 
-let trial_one st ~rounds ~noise rng =
-  let { s_l = l; lat; nq; np; total; g; spatial_qubit; z1; z2; plaq_ops } =
-    st
-  in
+let trial_one st ws ~rounds ~noise rng =
+  let { s_l = l; lat; nq; np; total; z1; z2; plaq_ops; _ } = st in
   begin
     let sim = Ft.Sim.create ~n:total ~noise rng in
     let tab = Ft.Sim.tableau sim in
@@ -118,15 +97,8 @@ let trial_one st ~rounds ~noise rng =
         defects.((rounds * np) + p) <- true
     done;
     (* decode in space-time and apply the spatial corrections *)
-    let selected = Match_graph.decode g ~defects in
     let correction = Bitvec.create nq in
-    Array.iteri
-      (fun id on ->
-        if on then
-          match Hashtbl.find_opt spatial_qubit id with
-          | Some e -> Bitvec.flip correction e
-          | None -> ())
-      selected;
+    Decoder.correct ws ~defects correction;
     let cpauli =
       Bitvec.support correction
       |> List.fold_left
@@ -151,9 +123,10 @@ let result ~l ~rounds ~noise ~trials failures =
 
 let run ~l ~rounds ~noise ~trials rng =
   let st = make_setup ~l ~rounds in
+  let ws = Decoder.workspace st.graph in
   let failures = ref 0 in
   for _ = 1 to trials do
-    if trial_one st ~rounds ~noise rng then incr failures
+    if trial_one st ws ~rounds ~noise rng then incr failures
   done;
   result ~l ~rounds ~noise ~trials !failures
 
@@ -161,7 +134,10 @@ let run_mc ?domains ?obs ~l ~rounds ~noise ~trials ~seed () =
   let st = make_setup ~l ~rounds in
   let failures =
     Mc.Runner.failures ?domains ?obs ~trials ~seed
-      (Mc.Runner.scalar (fun rng _ -> trial_one st ~rounds ~noise rng))
+      (Mc.Runner.model
+         ~worker_init:(fun () -> Decoder.workspace st.graph)
+         ~trial:(fun ws rng _ -> trial_one st ws ~rounds ~noise rng)
+         ())
   in
   result ~l ~rounds ~noise ~trials failures
 
@@ -259,19 +235,25 @@ let run_faults_sim st ~rounds active =
   done;
   defects
 
+type dp_ctx = {
+  c_defects : bool array;
+  c_error : Bitvec.t;
+  c_ws : Decoder.workspace;
+  c_correction : Bitvec.t;
+}
+
+let dp_ctx st ~rounds =
+  { c_defects = Array.make (st.np * (rounds + 1)) false;
+    c_error = Bitvec.create st.nq;
+    c_ws = Decoder.workspace st.graph;
+    c_correction = Bitvec.create st.nq }
+
 (* Decode a defect pattern and judge the corrected data error — the
-   back half of [trial_one], shared by both evaluation paths. *)
-let dp_judge st ~defects ~error =
-  let selected = Match_graph.decode st.g ~defects in
-  let correction = Bitvec.create st.nq in
-  Array.iteri
-    (fun id on ->
-      if on then
-        match Hashtbl.find_opt st.spatial_qubit id with
-        | Some e -> Bitvec.flip correction e
-        | None -> ())
-    selected;
-  let residual = Bitvec.xor error correction in
+   back half of [trial_one], shared by both evaluation paths.  Only
+   [ctx]'s decoder scratch is used. *)
+let dp_judge st ctx ~defects ~error =
+  Decoder.correct ctx.c_ws ~defects ctx.c_correction;
+  let residual = Bitvec.xor error ctx.c_correction in
   let wx, wy = Lattice.winding st.lat residual in
   wx || wy
 
@@ -299,12 +281,6 @@ let dp_dict ~l ~rounds =
   let dd_edge = Array.init n (fun loc -> dp_edge st ~loc) in
   { dd_st = st; dd_rounds = rounds; dd_sites = n; dd_defects; dd_edge }
 
-type dp_ctx = { c_defects : bool array; c_error : Bitvec.t }
-
-let dp_ctx st ~rounds =
-  { c_defects = Array.make (st.np * (rounds + 1)) false;
-    c_error = Bitvec.create st.nq }
-
 let dp_apply dict ctx loc =
   List.iter
     (fun i -> ctx.c_defects.(i) <- not ctx.c_defects.(i))
@@ -319,7 +295,7 @@ let dp_reset ctx =
 let dp_eval dict ctx faults =
   dp_reset ctx;
   Array.iter (fun f -> dp_apply dict ctx f.Mc.Subset.loc) faults;
-  dp_judge dict.dd_st ~defects:ctx.c_defects ~error:ctx.c_error
+  dp_judge dict.dd_st ctx ~defects:ctx.c_defects ~error:ctx.c_error
 
 let dp_model ~l ~rounds ~p () =
   if not (p >= 0.0 && p <= 1.0) then
@@ -337,7 +313,7 @@ let dp_model ~l ~rounds ~p () =
     for loc = 0 to n - 1 do
       if Random.State.float rng 1.0 < p then dp_apply dict ctx loc
     done;
-    dp_judge st ~defects:ctx.c_defects ~error:ctx.c_error
+    dp_judge st ctx ~defects:ctx.c_defects ~error:ctx.c_error
   in
   Mc.Runner.model
     ~worker_init:(fun () -> dp_ctx st ~rounds)
@@ -381,6 +357,6 @@ let dp_self_check ~l ~rounds ~weight ~samples ~seed =
         let e = dict.dd_edge.(f.Mc.Subset.loc) in
         if e >= 0 then Bitvec.flip error e)
       faults;
-    if via_dict <> dp_judge st ~defects ~error then ok := false
+    if via_dict <> dp_judge st ctx ~defects ~error then ok := false
   done;
   !ok

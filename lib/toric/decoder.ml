@@ -1,34 +1,98 @@
 module Bitvec = Gf2.Bitvec
 
-(* The 2-D decoder is the generic union-find/peeling engine
-   (Match_graph) run on the lattice's plaquette-adjacency graph; the
-   graph is cached per lattice size. *)
+(* Union-find decoding is the generic engine (Match_graph) run on the
+   lattice's plaquette-adjacency graph, or on [layers] stacked copies
+   of it joined by temporal edges for noisy syndrome histories.
+   Spatial edges are added in qubit order, so in the 2-D graph edge
+   ids coincide with qubit indices. *)
 
-let graphs : (int, Match_graph.t) Hashtbl.t = Hashtbl.create 4
+type graph = { g : Match_graph.t; nq : int; edge_qubit : int array }
 
-let graph_for lat =
-  let l = Lattice.size lat in
-  match Hashtbl.find_opt graphs l with
-  | Some g -> g
-  | None ->
-    let g = Match_graph.create ~num_nodes:(Lattice.num_plaquettes lat) in
-    for e = 0 to Lattice.num_qubits lat - 1 do
+let graph ?(layers = 1) lat =
+  if layers < 1 then invalid_arg "Decoder.graph: layers >= 1";
+  let nq = Lattice.num_qubits lat and np = Lattice.num_plaquettes lat in
+  let g = Match_graph.create ~num_nodes:(np * layers) in
+  (* edge id -> qubit, or -1 for a temporal (measurement-error) edge *)
+  let edge_qubit = Array.make ((layers * nq) + ((layers - 1) * np)) (-1) in
+  for t = 0 to layers - 1 do
+    for e = 0 to nq - 1 do
       let a, b = Lattice.edge_endpoints lat e in
-      (* edge ids coincide with qubit indices: edges are added in
-         qubit order *)
-      ignore (Match_graph.add_edge g a b)
+      edge_qubit.(Match_graph.add_edge g ((t * np) + a) ((t * np) + b)) <- e
     done;
-    Hashtbl.add graphs l g;
-    g
+    if t < layers - 1 then
+      for p = 0 to np - 1 do
+        ignore (Match_graph.add_edge g ((t * np) + p) (((t + 1) * np) + p))
+      done
+  done;
+  { g; nq; edge_qubit }
+
+let match_graph gr = gr.g
+
+type workspace = {
+  w_nq : int;
+  w_edge_qubit : int array;
+  mg : Match_graph.workspace;
+  defects : bool array;  (* a 2-D syndrome, unpacked *)
+}
+
+let workspace gr =
+  let mg = Match_graph.workspace gr.g in
+  { w_nq = gr.nq;
+    w_edge_qubit = gr.edge_qubit;
+    mg;
+    defects = Array.make (Match_graph.num_nodes gr.g) false }
+
+let correct ws ~defects correction =
+  if Bitvec.length correction <> ws.w_nq then invalid_arg "Decoder.correct";
+  Match_graph.decode ws.mg ~defects;
+  Bitvec.clear correction;
+  for i = 0 to Match_graph.num_selected ws.mg - 1 do
+    let q = ws.w_edge_qubit.(Match_graph.selected_edge ws.mg i) in
+    (* a temporal edge is a diagnosed measurement error: no qubit *)
+    if q >= 0 then Bitvec.flip correction q
+  done
+
+let decode_into ws syndrome correction =
+  if Bitvec.length syndrome <> Array.length ws.defects then
+    invalid_arg "Decoder.decode";
+  Bitvec.unpack_into syndrome ws.defects;
+  correct ws ~defects:ws.defects correction
+
+(* One 2-D workspace per lattice size and domain, made on first use:
+   domain-local, so worker domains never share scratch.  Threads of one
+   domain do share it, and one can be switched out mid-decode, so a
+   workspace is claimed for the length of a decode; a thread that finds
+   it claimed decodes on a fresh one. *)
+type cached = { size : int; ws : workspace; mutable busy : bool }
+
+let per_domain : cached list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
+
+let rec find_size l = function
+  | [] -> raise Not_found
+  | c :: rest -> if c.size = l then c else find_size l rest
 
 let decode lat syndrome =
-  let n_nodes = Lattice.num_plaquettes lat in
-  if Bitvec.length syndrome <> n_nodes then invalid_arg "Decoder.decode";
-  let g = graph_for lat in
-  let defects = Array.init n_nodes (Bitvec.get syndrome) in
-  let selected = Match_graph.decode g ~defects in
+  let l = Lattice.size lat in
+  let cache = Domain.DLS.get per_domain in
+  let c =
+    match find_size l !cache with
+    | c -> c
+    | exception Not_found ->
+      let c = { size = l; ws = workspace (graph lat); busy = false } in
+      cache := c :: !cache;
+      c
+  in
   let correction = Bitvec.create (Lattice.num_qubits lat) in
-  Array.iteri (fun e on -> if on then Bitvec.set correction e true) selected;
+  if c.busy then decode_into (workspace (graph lat)) syndrome correction
+  else begin
+    c.busy <- true;
+    match decode_into c.ws syndrome correction with
+    | () -> c.busy <- false
+    | exception e ->
+      c.busy <- false;
+      raise e
+  end;
   correction
 
 (* --- greedy baseline ------------------------------------------------ *)

@@ -2,19 +2,35 @@ module Bitvec = Gf2.Bitvec
 
 type result = { l : int; p : float; trials : int; failures : int; rate : float }
 
-(* One trial: sample IID X noise into [error] (fully overwritten),
-   decode, judge the residual's homology class.  [lat] is immutable
-   after creation and [Decoder] allocates its own scratch, so one
-   lattice is safely shared across domains. *)
-let trial_one lat ~decoder ~p error rng =
+(* A worker's own decoding scratch: [lat] and its decoder graph are
+   immutable and shared across domains, the workspace and buffers are
+   not (one scratch per worker, from [worker_init]). *)
+type scratch = {
+  ws : Decoder.workspace;
+  error : Bitvec.t;
+  correction : Bitvec.t;
+}
+
+let scratch lat graph =
+  let nq = Lattice.num_qubits lat in
+  { ws = Decoder.workspace graph;
+    error = Bitvec.create nq;
+    correction = Bitvec.create nq }
+
+(* Overwrite [sc.correction] with a correction for [syndrome]. *)
+let decode lat ~decoder sc syndrome =
+  match decoder with
+  | `Union_find -> Decoder.decode_into sc.ws syndrome sc.correction
+  | `Greedy -> Bitvec.blit ~src:(Decoder.greedy_decode lat syndrome) sc.correction
+
+(* One trial: sample IID X noise into [sc.error] (fully overwritten),
+   decode, judge the residual's homology class. *)
+let trial_one lat ~decoder ~p sc rng =
+  let error = sc.error in
   Bitvec.randomize ~p rng error;
   let syndrome = Lattice.syndrome lat error in
-  let correction =
-    match decoder with
-    | `Union_find -> Decoder.decode lat syndrome
-    | `Greedy -> Decoder.greedy_decode lat syndrome
-  in
-  let residual = Bitvec.xor error correction in
+  decode lat ~decoder sc syndrome;
+  let residual = Bitvec.xor error sc.correction in
   (* sanity: the residual must have trivial syndrome *)
   assert (Bitvec.is_zero (Lattice.syndrome lat residual));
   let wx, wy = Lattice.winding lat residual in
@@ -25,20 +41,21 @@ let result ~l ~p ~trials failures =
 
 let run ?(decoder = `Union_find) ~l ~p ~trials rng =
   let lat = Lattice.create l in
-  let error = Bitvec.create (Lattice.num_qubits lat) in
+  let sc = scratch lat (Decoder.graph lat) in
   let failures = ref 0 in
   for _ = 1 to trials do
-    if trial_one lat ~decoder ~p error rng then incr failures
+    if trial_one lat ~decoder ~p sc rng then incr failures
   done;
   result ~l ~p ~trials !failures
 
 let run_mc ?domains ?obs ?(decoder = `Union_find) ~l ~p ~trials ~seed () =
   let lat = Lattice.create l in
+  let graph = Decoder.graph lat in
   let failures =
     Mc.Runner.failures ?domains ?obs ~trials ~seed
       (Mc.Runner.model
-         ~worker_init:(fun () -> Bitvec.create (Lattice.num_qubits lat))
-         ~trial:(fun error rng _ -> trial_one lat ~decoder ~p error rng)
+         ~worker_init:(fun () -> scratch lat graph)
+         ~trial:(fun sc rng _ -> trial_one lat ~decoder ~p sc rng)
          ())
   in
   result ~l ~p ~trials failures
@@ -77,6 +94,7 @@ let transpose_threshold = 3
 let run_batch ?domains ?obs ?campaign ?(engine = `Batch)
     ?(decoder = `Union_find) ?(tile_width = 64) ~l ~p ~trials ~seed () =
   let lat = Lattice.create l in
+  let graph = Decoder.graph lat in
   let nq = Lattice.num_qubits lat in
   let np = Lattice.num_plaquettes lat in
   if tile_width < 64 || tile_width mod 64 <> 0 then
@@ -90,19 +108,14 @@ let run_batch ?domains ?obs ?campaign ?(engine = `Batch)
   in
   let wx_sel, wy_sel = winding_selectors lat ~l in
   let eb = (nq + 63) / 64 * 64 and sb = (np + 63) / 64 * 64 in
-  let decode syndrome =
-    match decoder with
-    | `Union_find -> Decoder.decode lat syndrome
-    | `Greedy -> Decoder.greedy_decode lat syndrome
-  in
-  let judge error syndrome fail b =
-    let correction = decode syndrome in
-    let residual = Bitvec.xor error correction in
+  let judge sc error syndrome fail b =
+    decode lat ~decoder sc syndrome;
+    let residual = Bitvec.xor error sc.correction in
     assert (Bitvec.is_zero (Lattice.syndrome lat residual));
     let wx, wy = Lattice.winding lat residual in
     if wx || wy then fail := Int64.logor !fail (Int64.shift_left 1L b)
   in
-  let batch (plane, out, terr, tsyn) keys ~base:_ ~count =
+  let batch (plane, out, terr, tsyn, sc) keys ~base:_ ~count =
     let sampler = Frame.Sampler.create_tile keys in
     Frame.Plane.clear plane;
     Frame.Program.run_into prog sampler plane out;
@@ -135,7 +148,7 @@ let run_batch ?domains ?obs ?campaign ?(engine = `Batch)
                 ~nrows:np tsyn;
               for b = 0 to live - 1 do
                 if Frame.Plane.bit any b then
-                  judge
+                  judge sc
                     (Frame.Plane.shot_of_transposed terr ~len:nq b)
                     (Frame.Plane.shot_of_transposed tsyn ~len:np b)
                     fail b
@@ -144,7 +157,7 @@ let run_batch ?domains ?obs ?campaign ?(engine = `Batch)
             else
               for b = 0 to live - 1 do
                 if Frame.Plane.bit any b then
-                  judge
+                  judge sc
                     (Frame.Plane.extract_shot_x plane ((64 * j) + b))
                     (Frame.Plane.row_shot_vec out ~lanes ~lane:j ~pos:0
                        ~len:np b)
@@ -158,7 +171,7 @@ let run_batch ?domains ?obs ?campaign ?(engine = `Batch)
           let fail = ref 0L in
           for b = 0 to live - 1 do
             let error = Frame.Plane.extract_shot_x plane ((64 * j) + b) in
-            judge error (Lattice.syndrome lat error) fail b
+            judge sc error (Lattice.syndrome lat error) fail b
           done;
           !fail)
   in
@@ -171,7 +184,8 @@ let run_batch ?domains ?obs ?campaign ?(engine = `Batch)
            ( Frame.Plane.create ~width:tile_width nq,
              Array.make (np * lanes) 0L,
              Array.make eb 0L,
-             Array.make sb 0L ))
+             Array.make sb 0L,
+             scratch lat graph ))
          ~batch ())
   in
   result ~l ~p ~trials failures
@@ -182,23 +196,21 @@ let run_batch ?domains ?obs ?campaign ?(engine = `Batch)
    engines estimate the same quantity. *)
 let rare_model ?(decoder = `Union_find) ~l ~p () =
   let lat = Lattice.create l in
+  let graph = Decoder.graph lat in
   let nq = Lattice.num_qubits lat in
   let fault_model = { Mc.Subset.locations = nq; kinds = 1; p } in
-  let evaluate error faults =
+  let evaluate sc faults =
+    let error = sc.error in
     Bitvec.clear error;
     Array.iter (fun f -> Bitvec.set error f.Mc.Subset.loc true) faults;
     let syndrome = Lattice.syndrome lat error in
-    let correction =
-      match decoder with
-      | `Union_find -> Decoder.decode lat syndrome
-      | `Greedy -> Decoder.greedy_decode lat syndrome
-    in
-    let residual = Bitvec.xor error correction in
+    decode lat ~decoder sc syndrome;
+    let residual = Bitvec.xor error sc.correction in
     let wx, wy = Lattice.winding lat residual in
     wx || wy
   in
   Mc.Runner.model
-    ~worker_init:(fun () -> Bitvec.create nq)
+    ~worker_init:(fun () -> scratch lat graph)
     ~rare:{ Mc.Runner.fault_model; evaluate }
     ()
 

@@ -64,6 +64,11 @@ val run_batch :
   unit ->
   result
 
+(** One worker's decoding scratch: a {!Decoder.workspace} and the
+    error and correction buffers, made by the model's [worker_init]
+    and never shared between domains. *)
+type scratch
+
 (** [rare_model ?decoder ~l ~p ()] — the same experiment as an
     explicit fault model for the rare-event engine: one location per
     edge qubit, one kind (an X flip), firing probability [p] — the
@@ -74,7 +79,7 @@ val rare_model :
   l:int ->
   p:float ->
   unit ->
-  Gf2.Bitvec.t Mc.Runner.model
+  scratch Mc.Runner.model
 
 (** [run_rare ?config ~l ~p ~seed ()] — weight-class subset estimate
     ({!Mc.Runner.estimate_rare}): exact enumeration of low-weight

@@ -10,37 +10,12 @@ type result = {
   rate : float;
 }
 
-(* Build the space-time matching graph once per (l, rounds): node
-   (plaq, t) for t in 0..rounds-1; spatial edges replicate the lattice
-   adjacency at each time slice, temporal edges link consecutive
-   slices.  Edge ids are recorded so spatial corrections can be mapped
-   back to qubits. *)
-type graph = {
-  g : Match_graph.t;
-  spatial_qubit : (int, int) Hashtbl.t; (* edge id -> qubit *)
-}
-
-let build_graph lat ~rounds =
-  let np = Lattice.num_plaquettes lat in
-  let g = Match_graph.create ~num_nodes:(np * rounds) in
-  let spatial_qubit = Hashtbl.create (Lattice.num_qubits lat * rounds) in
-  for t = 0 to rounds - 1 do
-    for e = 0 to Lattice.num_qubits lat - 1 do
-      let a, b = Lattice.edge_endpoints lat e in
-      let id = Match_graph.add_edge g ((t * np) + a) ((t * np) + b) in
-      Hashtbl.add spatial_qubit id e
-    done;
-    if t < rounds - 1 then
-      for plaq = 0 to np - 1 do
-        ignore (Match_graph.add_edge g ((t * np) + plaq) (((t + 1) * np) + plaq))
-      done
-  done;
-  { g; spatial_qubit }
-
-(* One trial against a prebuilt space-time graph.  The graph and
-   lattice are read-only here ([Match_graph.decode] copies what it
-   mutates), so one build is safely shared across worker domains. *)
-let trial_one lat graph ~rounds ~p ~q rng =
+(* One trial, decoded on the space-time graph (node (plaq, t) for t in
+   0..rounds-1: spatial edges replicate the lattice adjacency at each
+   time slice, temporal edges link consecutive slices) through [ws].
+   The lattice and graph are read-only; [ws] is the caller's own
+   decoder scratch, one per domain. *)
+let trial_one lat ws ~rounds ~p ~q rng =
   let nq = Lattice.num_qubits lat in
   let np = Lattice.num_plaquettes lat in
   let error = Bitvec.create nq in
@@ -64,31 +39,25 @@ let trial_one lat graph ~rounds ~p ~q rng =
     done;
     Bitvec.blit ~src:observed prev
   done;
-  let selected = Match_graph.decode graph.g ~defects in
   let correction = Bitvec.create nq in
-  Array.iteri
-    (fun id on ->
-      if on then
-        match Hashtbl.find_opt graph.spatial_qubit id with
-        | Some qubit -> Bitvec.flip correction qubit
-        | None -> () (* temporal edge: a diagnosed measurement error *))
-    selected;
+  Decoder.correct ws ~defects correction;
   let residual = Bitvec.xor error correction in
   assert (Bitvec.is_zero (Lattice.syndrome lat residual));
   let wx, wy = Lattice.winding lat residual in
   wx || wy
 
 let run_with_graph lat graph ~rounds ~p ~q ~trials rng =
+  let ws = Decoder.workspace graph in
   let failures = ref 0 in
   for _ = 1 to trials do
-    if trial_one lat graph ~rounds ~p ~q rng then incr failures
+    if trial_one lat ws ~rounds ~p ~q rng then incr failures
   done;
   !failures
 
 let setup ~l ~rounds =
   if rounds < 2 then invalid_arg "Noisy_memory.run: need >= 2 rounds";
   let lat = Lattice.create l in
-  (lat, build_graph lat ~rounds)
+  (lat, Decoder.graph ~layers:rounds lat)
 
 let result ~l ~rounds ~p ~q ~trials failures =
   { l;
@@ -108,7 +77,10 @@ let run_mc ?domains ?obs ~l ~rounds ~p ~q ~trials ~seed () =
   let lat, graph = setup ~l ~rounds in
   let failures =
     Mc.Runner.failures ?domains ?obs ~trials ~seed
-      (Mc.Runner.scalar (fun rng _ -> trial_one lat graph ~rounds ~p ~q rng))
+      (Mc.Runner.model
+         ~worker_init:(fun () -> Decoder.workspace graph)
+         ~trial:(fun ws rng _ -> trial_one lat ws ~rounds ~p ~q rng)
+         ())
   in
   result ~l ~rounds ~p ~q ~trials failures
 
@@ -129,18 +101,9 @@ type batch_ctx = {
   acc : int64 array;     (* nq*rounds rows: accumulated-error snapshots *)
   defects : bool array;  (* np*rounds: one shot's defect pattern *)
   terr : int64 array;    (* transposed error plane, one lane *)
+  ws : Decoder.workspace;
+  correction : Bitvec.t;  (* one shot's decoded correction *)
 }
-
-let correction_of_selected graph ~nq selected =
-  let correction = Bitvec.create nq in
-  Array.iteri
-    (fun id on ->
-      if on then
-        match Hashtbl.find_opt graph.spatial_qubit id with
-        | Some qubit -> Bitvec.flip correction qubit
-        | None -> () (* temporal edge: a diagnosed measurement error *))
-    selected;
-  correction
 
 (* As in Memory: lanes with at least this many defect shots extract
    their error planes through the block transpose. *)
@@ -180,8 +143,7 @@ let run_batch ?domains ?obs ?(engine = `Batch) ?(tile_width = 64) ~l ~rounds
     for r = 0 to (np * rounds) - 1 do
       ctx.defects.(r) <- Frame.Plane.bit ctx.dw.((r * lanes) + lane) b
     done;
-    let selected = Match_graph.decode graph.g ~defects:ctx.defects in
-    correction_of_selected graph ~nq selected
+    Decoder.correct ctx.ws ~defects:ctx.defects ctx.correction
   in
   let batch ctx keys ~base:_ ~count =
     let sampler = Frame.Sampler.create_tile keys in
@@ -229,13 +191,13 @@ let run_batch ?domains ?obs ?(engine = `Batch) ?(tile_width = 64) ~l ~rounds
             if transposed then Frame.Plane.transpose_x ctx.plane ~lane:j ctx.terr;
             for b = 0 to live - 1 do
               if Frame.Plane.bit any b then begin
-                let correction = match_shot ctx ~lane:j b in
+                match_shot ctx ~lane:j b;
                 let error =
                   if transposed then
                     Frame.Plane.shot_of_transposed ctx.terr ~len:nq b
                   else Frame.Plane.extract_shot_x ctx.plane ((64 * j) + b)
                 in
-                judge error correction fail b
+                judge error ctx.correction fail b
               end
             done
           end;
@@ -265,13 +227,12 @@ let run_batch ?domains ?obs ?(engine = `Batch) ?(tile_width = 64) ~l ~rounds
               done;
               Bitvec.blit ~src:observed prev_b
             done;
-            let selected = Match_graph.decode graph.g ~defects:ctx.defects in
-            let correction = correction_of_selected graph ~nq selected in
+            Decoder.correct ctx.ws ~defects:ctx.defects ctx.correction;
             let error =
               Frame.Plane.row_shot_vec ctx.acc ~lanes ~lane:j
                 ~pos:((rounds - 1) * nq) ~len:nq b
             in
-            let residual = Bitvec.xor error correction in
+            let residual = Bitvec.xor error ctx.correction in
             assert (Bitvec.is_zero (Lattice.syndrome lat residual));
             let wx, wy = Lattice.winding lat residual in
             if wx || wy then fail := Int64.logor !fail (Int64.shift_left 1L b)
@@ -293,6 +254,8 @@ let run_batch ?domains ?obs ?(engine = `Batch) ?(tile_width = 64) ~l ~rounds
              acc = Array.make (nq * rounds * lanes) 0L;
              defects = Array.make (np * rounds) false;
              terr = Array.make ((nq + 63) / 64 * 64) 0L;
+             ws = Decoder.workspace graph;
+             correction = Bitvec.create nq;
            })
          ~batch ())
   in

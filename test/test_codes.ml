@@ -295,6 +295,34 @@ let prop_steane_random_weight1 =
       let e = Pauli.mul (Pauli.single 7 q letter) code.generators.(g) in
       Code.correct d code e = `Ok)
 
+(* The default-decoder table is filled lazily and reachable from worker
+   domains: four domains first-touching a code nobody has used yet, at
+   once, must all get a decoder that decodes like a lone lookup
+   decoder. *)
+let test_default_decoder_first_touch_from_domains () =
+  let code = { Codes.Five_qubit.code with name = "five-qubit, first touch" } in
+  let syndromes =
+    List.init 16 (fun s -> Bitvec.of_int ~width:4 s)
+  in
+  let decode_all d =
+    List.map
+      (fun s -> Option.map Pauli.to_string (Code.decode d s))
+      syndromes
+  in
+  let expected = decode_all (Code.lookup_decoder code) in
+  let ready = Atomic.make 0 in
+  let touch () =
+    Atomic.incr ready;
+    while Atomic.get ready < 4 do Domain.cpu_relax () done;
+    decode_all (Code.default_decoder code)
+  in
+  let results = List.map Domain.join (List.init 4 (fun _ -> Domain.spawn touch)) in
+  List.iteri
+    (fun i got ->
+      check (Printf.sprintf "domain %d decodes like a lone decoder" i) true
+        (got = expected))
+    results
+
 let suites =
   [ ( "codes.hamming",
       [ Alcotest.test_case "basics" `Quick test_hamming_basics;
@@ -325,4 +353,6 @@ let suites =
           test_concatenated_steane;
         Alcotest.test_case "ideal recovery" `Quick test_ideal_recover_roundtrip;
         Alcotest.test_case "embed" `Quick test_embed;
+        Alcotest.test_case "default decoder first touch from domains" `Quick
+          test_default_decoder_first_touch_from_domains;
         QCheck_alcotest.to_alcotest prop_steane_random_weight1 ] ) ]

@@ -427,6 +427,72 @@ let request_ok ?on_progress socket est =
   | Ok (Error e) -> Alcotest.failf "request failed: %s: %s" e.code e.message
   | Error msg -> Alcotest.failf "connect failed: %s" msg
 
+(* ------------------------------------------ deterministic in-flight state
+
+   A held request's job stops inside its runner's first progress step
+   (the [Obs.Progress] watcher runs on the computing domain) until the
+   test calls [release], so it stays in flight through every step of a
+   test by construction, however fast the host computes it.  Steps wait
+   for state the daemon reports through [status] (busy workers, queue
+   depth, the jobs table, counters), never for a fixed delay. *)
+
+let with_held est f =
+  let scope = Protocol.hash (Protocol.Run est) in
+  let m = Mutex.create () and c = Condition.create () in
+  let released = ref false in
+  let release () =
+    Mutex.lock m;
+    released := true;
+    Condition.broadcast c;
+    Mutex.unlock m
+  in
+  Obs.Progress.set_watcher
+    (Some
+       (fun (v : Obs.Progress.view) ->
+         if v.v_scope = scope then begin
+           Mutex.lock m;
+           while not !released do
+             Condition.wait c m
+           done;
+           Mutex.unlock m
+         end));
+  Fun.protect
+    ~finally:(fun () ->
+      release ();
+      Obs.Progress.set_watcher None)
+    (fun () -> f release)
+
+let status socket =
+  match Svc.Client.with_connection ~socket Svc.Client.status with
+  | Ok (Ok j) -> j
+  | Ok (Error e) -> Alcotest.failf "status failed: %s" e.message
+  | Error msg -> Alcotest.failf "connect failed: %s" msg
+
+let json_int path j =
+  match
+    List.fold_left (fun acc k -> Option.bind acc (Json.member k)) (Some j) path
+  with
+  | Some (Json.Int n) -> n
+  | _ -> -1
+
+let busy_workers = json_int [ "workers"; "busy" ]
+let queue_depth = json_int [ "queue"; "depth" ]
+let counter name = json_int [ "metrics"; "counters"; name ]
+
+(* poll [status] until [pred] holds on it *)
+let await_status socket what pred =
+  let deadline = Unix.gettimeofday () +. 60.0 in
+  let rec go () =
+    if pred (status socket) then ()
+    else if Unix.gettimeofday () > deadline then
+      Alcotest.failf "daemon never reached: %s" what
+    else begin
+      Thread.delay 0.005;
+      go ()
+    end
+  in
+  go ()
+
 (* the central contract: fresh reply == cached reply == direct library
    run, byte for byte *)
 let test_cached_bit_identical () =
@@ -453,17 +519,22 @@ let test_cached_bit_identical () =
    replies) *)
 let test_coalescing () =
   with_server ~workers:1 (fun socket ->
-      (* occupy the single worker so the next request stays visible
-         in the in-flight table long enough to be joined *)
+      (* occupy the single worker so the next request stays queued in
+         the in-flight table until the second one has joined it *)
+      let blocker_est = toric_est ~l:12 ~p:0.1 ~trials:20000 () in
+      with_held blocker_est @@ fun release ->
       let blocker = Thread.create (fun () ->
-          ignore (request_ok socket (toric_est ~l:12 ~p:0.1 ~trials:20000 ()))) ()
+          ignore (request_ok socket blocker_est)) ()
       in
-      Thread.delay 0.2;
+      await_status socket "blocker running" (fun j -> busy_workers j = 1);
       let est = toric_est ~seed:11 () in
       let r1 = ref None and r2 = ref None in
       let t1 = Thread.create (fun () -> r1 := Some (request_ok socket est)) () in
-      Thread.delay 0.1;
+      await_status socket "first request queued" (fun j -> queue_depth j = 1);
       let t2 = Thread.create (fun () -> r2 := Some (request_ok socket est)) () in
+      await_status socket "second request joined"
+        (fun j -> counter "svc.coalesced" j = 1);
+      release ();
       Thread.join t1;
       Thread.join t2;
       Thread.join blocker;
@@ -479,15 +550,17 @@ let test_coalescing () =
    never hang the client *)
 let test_overload () =
   with_server ~workers:1 ~max_queue:1 (fun socket ->
+      let blocker_est = toric_est ~l:12 ~p:0.1 ~trials:20000 () in
+      with_held blocker_est @@ fun release ->
       let blocker = Thread.create (fun () ->
-          ignore (request_ok socket (toric_est ~l:12 ~p:0.1 ~trials:20000 ()))) ()
+          ignore (request_ok socket blocker_est)) ()
       in
-      Thread.delay 0.2;
+      await_status socket "blocker running" (fun j -> busy_workers j = 1);
       (* the worker is busy: this one fills the single queue slot *)
       let filler = Thread.create (fun () ->
           ignore (request_ok socket (toric_est ~seed:21 ()))) ()
       in
-      Thread.delay 0.1;
+      await_status socket "filler queued" (fun j -> queue_depth j = 1);
       let refused =
         Svc.Client.with_connection ~socket (fun fd ->
             Svc.Client.request fd (toric_est ~seed:22 ()))
@@ -496,6 +569,7 @@ let test_overload () =
       | Ok (Error e) -> check_str "structured overload error" "overloaded" e.code
       | Ok (Ok _) -> Alcotest.fail "request beyond max_queue was accepted"
       | Error msg -> Alcotest.failf "connect failed: %s" msg);
+      release ();
       Thread.join filler;
       Thread.join blocker)
 
@@ -573,12 +647,15 @@ let test_status_and_metrics () =
 let test_progress_completion_streams () =
   with_server ~workers:1 (fun socket ->
       let est = toric_est ~l:12 ~p:0.1 ~trials:40000 ~seed:33 () in
+      (* the job itself is held mid-run, its runner's reporter live *)
+      with_held est @@ fun release ->
       let saw cell (p : Svc.Client.progress) =
         match (p.p_completed, p.p_total, p.p_phase) with
-        | Some d, Some t, Some _ when d >= 0 && t > 0 && d <= t -> cell := true
+        | Some d, Some t, Some _ when d >= 0 && t > 0 && d <= t ->
+          Atomic.set cell true
         | _ -> ()
       in
-      let primary_saw = ref false and joiner_saw = ref false in
+      let primary_saw = Atomic.make false and joiner_saw = Atomic.make false in
       let r1 = ref None and r2 = ref None in
       let t1 =
         Thread.create
@@ -586,13 +663,25 @@ let test_progress_completion_streams () =
             r1 := Some (request_ok ~on_progress:(saw primary_saw) socket est))
           ()
       in
-      Thread.delay 0.15;
+      await_status socket "job running" (fun j -> busy_workers j = 1);
       let t2 =
         Thread.create
           (fun () ->
             r2 := Some (request_ok ~on_progress:(saw joiner_saw) socket est))
           ()
       in
+      await_status socket "second request joined"
+        (fun j -> counter "svc.coalesced" j = 1);
+      (* progress frames go out every progress interval while the job
+         is held; give both waiters time to receive one *)
+      let deadline = Unix.gettimeofday () +. 60.0 in
+      while
+        (not (Atomic.get primary_saw && Atomic.get joiner_saw))
+        && Unix.gettimeofday () < deadline
+      do
+        Thread.delay 0.005
+      done;
+      release ();
       Thread.join t1;
       Thread.join t2;
       match (!r1, !r2) with
@@ -600,21 +689,22 @@ let test_progress_completion_streams () =
         check "second request joined the first job" true b.coalesced;
         check_str "coalesced replies are byte-identical" a.raw_result
           b.raw_result;
-        check "primary saw completed/total/phase" true !primary_saw;
-        check "coalesced joiner saw completed/total/phase" true !joiner_saw
+        check "primary saw completed/total/phase" true
+          (Atomic.get primary_saw);
+        check "coalesced joiner saw completed/total/phase" true
+          (Atomic.get joiner_saw)
       | _ -> Alcotest.fail "requests did not complete")
 
 (* the extended status frame: worker utilization and the in-flight job
    table, live while a request runs *)
 let test_status_inflight_jobs () =
   with_server ~workers:1 (fun socket ->
+      let blocker_est = toric_est ~l:12 ~p:0.1 ~trials:40000 () in
+      with_held blocker_est @@ fun release ->
       let blocker =
-        Thread.create
-          (fun () ->
-            ignore (request_ok socket (toric_est ~l:12 ~p:0.1 ~trials:40000 ())))
-          ()
+        Thread.create (fun () -> ignore (request_ok socket blocker_est)) ()
       in
-      Thread.delay 0.25;
+      await_status socket "blocker running" (fun j -> busy_workers j = 1);
       (match Svc.Client.with_connection ~socket Svc.Client.status with
       | Ok (Ok j) ->
         let workers k =
@@ -642,6 +732,7 @@ let test_status_inflight_jobs () =
           true
       | Ok (Error e) -> Alcotest.failf "status failed: %s" e.message
       | Error msg -> Alcotest.failf "connect failed: %s" msg);
+      release ();
       Thread.join blocker;
       (* after the job drains: per-estimator latency histogram recorded *)
       match Svc.Client.with_connection ~socket Svc.Client.status with
