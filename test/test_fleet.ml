@@ -244,63 +244,90 @@ let test_jobq_concurrent () =
 
 (* ----------------------------------------------- shard planner *)
 
-let test_exec_shard_equivalence () =
-  let est =
-    Protocol.Toric_scan
-      { ls = [ 4; 6 ]; ps = [ 0.05; 0.1 ]; trials = 400; seed = 3;
-        engine = `Scalar; tile_width = 64 }
-  in
-  match Svc.Exec.plan est with
-  | Whole -> Alcotest.fail "a toric scan must shard"
-  | Sharded cells ->
-    check_int "one cell per (l, p)" 4 (List.length cells);
-    let totals = Array.make (List.length cells) 0 in
-    List.iter
-      (fun c ->
-        (* split each cell at an uneven boundary: the second range's
-           prefill must replay the first range's chunks exactly *)
-        let n = Svc.Exec.nchunks c in
-        let mid = max 1 (n / 3) in
-        let parts =
-          Svc.Exec.cell_counts est c ~lo:0 ~hi:mid
-          @ Svc.Exec.cell_counts est c ~lo:mid ~hi:n
-        in
-        check_int "full chunk coverage" n (List.length parts);
-        List.iteri (fun i (idx, _) -> check_int "chunk order" i idx) parts;
-        totals.(c.Svc.Exec.c_index) <-
-          List.fold_left (fun acc (_, f) -> acc + f) 0 parts)
-      cells;
-    let payload = Svc.Exec.assemble est ~totals in
-    let direct = Svc.Exec.execute ~domains:2 est in
-    check_str "assembled bytes match a direct run" (payload_bytes direct)
-      (payload_bytes payload)
-
-let test_exec_shard_css () =
-  (* the css-memory estimator is fleet-shardable on the batch engine:
-     chunked cell counts must reassemble to the direct run's bytes *)
-  let est =
+(* Every shardable estimator x engine: [(request, expected cell count,
+   expected campaign engine tag)].  Each cell is split at an uneven
+   chunk boundary, so the second range's prefill must replay the first
+   range's chunks exactly, and the per-cell totals must reassemble to
+   a direct run's bytes. *)
+let shard_table =
+  let steane engine tile_width =
+    Protocol.Steane_memory
+      { level = 2; eps = 0.01; rounds = 1; trials = 600; seed = 1; engine;
+        tile_width }
+  and toric engine tile_width =
+    Protocol.Toric_memory
+      { l = 6; p = 0.08; trials = 500; seed = 7; engine; tile_width }
+  and noisy engine =
+    Protocol.Toric_noisy
+      { l = 4; rounds = 4; p = 0.02; q = 0.02; trials = 300; seed = 4;
+        engine; tile_width = 64 }
+  and css engine tile_width =
     Protocol.Css_memory
       { code = "steane7"; eps = 0.05; rounds = 2; trials = 500; seed = 11;
-        engine = `Batch; tile_width = 128 }
+        engine; tile_width }
   in
-  match Svc.Exec.plan est with
-  | Whole -> Alcotest.fail "css-memory must shard"
-  | Sharded cells ->
-    check_int "one cell" 1 (List.length cells);
-    let c = List.hd cells in
-    check_str "batch campaign engine" "batch" c.Svc.Exec.c_engine;
-    let n = Svc.Exec.nchunks c in
-    let mid = max 1 (n / 3) in
-    let parts =
-      Svc.Exec.cell_counts est c ~lo:0 ~hi:mid
-      @ Svc.Exec.cell_counts est c ~lo:mid ~hi:n
-    in
-    check_int "full chunk coverage" n (List.length parts);
-    let total = List.fold_left (fun acc (_, f) -> acc + f) 0 parts in
-    let payload = Svc.Exec.assemble est ~totals:[| total |] in
-    let direct = Svc.Exec.execute ~domains:2 est in
-    check_str "assembled css bytes match a direct run" (payload_bytes direct)
-      (payload_bytes payload)
+  [ (steane `Scalar 64, 1, "scalar");
+    (steane `Batch 256, 1, "batch");
+    (toric `Scalar 64, 1, "scalar");
+    (toric `Batch 128, 1, "batch");
+    ( Protocol.Toric_scan
+        { ls = [ 4; 6 ]; ps = [ 0.05; 0.1 ]; trials = 400; seed = 3;
+          engine = `Scalar; tile_width = 64 },
+      4,
+      "scalar" );
+    (noisy `Scalar, 1, "scalar");
+    (noisy `Batch, 1, "batch");
+    ( Protocol.Toric_circuit
+        { l = 4; rounds = 4; eps = 0.002; trials = 20; seed = 5;
+          engine = `Scalar },
+      1,
+      "scalar" );
+    (css `Scalar 64, 1, "scalar");
+    (css `Batch 128, 1, "batch");
+    ( Protocol.Pseudothreshold
+        { eps_list = [ 1e-3; 2e-3 ]; trials = 200; seed = 6 },
+      2,
+      "scalar" ) ]
+
+let test_exec_shard_table () =
+  List.iter
+    (fun (est, ncells, tag) ->
+      let what = Svc.Protocol.hash (Run est) in
+      match Svc.Exec.plan est with
+      | Whole -> Alcotest.failf "%s must shard" what
+      | Sharded cells ->
+        check_int (what ^ ": cell count") ncells (List.length cells);
+        let totals = Array.make ncells 0 in
+        List.iter
+          (fun c ->
+            check_str (what ^ ": campaign engine") tag
+              (Svc.Exec.job_of_cell c).engine;
+            let n = Svc.Exec.nchunks c in
+            let mid = max 1 (n / 3) in
+            let parts =
+              Svc.Exec.cell_counts est c ~lo:0 ~hi:mid
+              @ Svc.Exec.cell_counts est c ~lo:mid ~hi:n
+            in
+            check_int (what ^ ": full chunk coverage") n (List.length parts);
+            List.iteri
+              (fun i (idx, _) -> check_int (what ^ ": chunk order") i idx)
+              parts;
+            totals.(c.Svc.Exec.c_index) <-
+              List.fold_left (fun acc (_, f) -> acc + f) 0 parts)
+          cells;
+        check_str
+          (what ^ ": assembled bytes match a direct run")
+          (payload_bytes (Svc.Exec.execute ~domains:2 est))
+          (payload_bytes (Svc.Exec.assemble est ~totals)))
+    shard_table;
+  (* the rare engine has no chunk ledger: the whole request goes to
+     one worker *)
+  check "a rare request plans Whole" true
+    (Svc.Exec.plan (Protocol.Toric_memory
+                      { l = 4; p = 0.01; trials = 100; seed = 2;
+                        engine = `Rare Protocol.default_rare;
+                        tile_width = 64 })
+     = Whole)
 
 (* ------------------------------------------- fleet, end to end *)
 
@@ -529,10 +556,8 @@ let suites =
           test_codec_partial_vs_closed;
         Alcotest.test_case "jobq concurrent push, drain after close" `Quick
           test_jobq_concurrent;
-        Alcotest.test_case "shard counts reassemble bit-identically" `Slow
-          test_exec_shard_equivalence;
-        Alcotest.test_case "css-memory shard reassembles bit-identically"
-          `Slow test_exec_shard_css;
+        Alcotest.test_case "shards reassemble for every engine" `Slow
+          test_exec_shard_table;
         Alcotest.test_case "campaign in-memory ledger" `Quick
           test_campaign_in_memory;
         Alcotest.test_case "fleet byte identity under chaos" `Slow

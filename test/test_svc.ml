@@ -610,6 +610,47 @@ let test_scan_matches_driver_derivation () =
             ls)
         ps)
 
+(* Golden result bytes: the MD5 of every [all_estimators] payload, as
+   computed before the executor was rebuilt around its cell list.  A
+   change to any cell name, derived seed, trial count or engine entry
+   point moves a digest. *)
+let golden_digests =
+  [
+    "f07a0f2362e97cd01db9263eee86e70f"; (* steane batch w64 *)
+    "f07a0f2362e97cd01db9263eee86e70f"; (* steane batch w256 *)
+    "34116568cc5abba85293c7af4cadeb5f"; (* toric_memory scalar *)
+    "0b6723b2931c1a14086c249ff341e0aa"; (* toric_scan scalar *)
+    "b3dc1b5cd13d49685a4d5af40192e6bc"; (* toric_noisy scalar *)
+    "42b223c454e20ebce320057821883634"; (* toric_circuit scalar *)
+    "49ab0e2bbc005ad2cb76c839eeb1eafd"; (* toric_circuit rare *)
+    "82d5497796d27a7f5d8bc21367c8b9c6"; (* toric_memory rare, defaults *)
+    "51ea315546fe35138d9efa1325cdaff7"; (* toric_memory rare W2 *)
+    "473b5a82e24f6e75ba24adfd68a82b3f"; (* steane rare *)
+    "62def4ea52deb9636a651de072cf1875"; (* pseudothreshold *)
+    "9c03cb9d948cd41d1a27875ed5fef46d"; (* css steane7 scalar *)
+    "3d6090d5ee1c3565d697404a71d2535f"; (* css golay23 batch w256 *)
+  ]
+
+let test_golden_result_bytes () =
+  let digests =
+    List.map
+      (fun est ->
+        Digest.to_hex
+          (Digest.string
+             (Json.to_string
+                (Protocol.payload_to_json (Svc.Exec.execute ~domains:1 est)))))
+      all_estimators
+  in
+  check_int "one digest per estimator" (List.length all_estimators)
+    (List.length golden_digests);
+  List.iteri
+    (fun i (est, (want, got)) ->
+      check_str
+        (Printf.sprintf "result bytes of #%d (%s)" i
+           (Protocol.estimator_name est))
+        want got)
+    (List.combine all_estimators (List.combine golden_digests digests))
+
 let test_status_and_metrics () =
   with_server (fun socket ->
       let est = toric_est ~trials:100 () in
@@ -820,6 +861,8 @@ let suites =
         Alcotest.test_case "overload admission control" `Slow test_overload;
         Alcotest.test_case "scan matches driver derivation" `Slow
           test_scan_matches_driver_derivation;
+        Alcotest.test_case "golden result bytes" `Slow
+          test_golden_result_bytes;
         Alcotest.test_case "status metrics" `Quick test_status_and_metrics;
         Alcotest.test_case "progress completion streams" `Slow
           test_progress_completion_streams;
