@@ -789,7 +789,7 @@ let service_probe () =
       let _, hit3 = timed (request 2026) in
       let cold_s = min cold1 (min cold2 cold3) in
       let hit_s = min hit1 (min hit2 hit3) in
-      let direct = Svc.Server.execute (est 2026) in
+      let direct = Svc.Exec.execute (est 2026) in
       let expected =
         Svc.Codec.encode
           (Svc.Protocol.result_frame

@@ -240,7 +240,7 @@ let worker_main () =
           | None -> failwith "fleet dispatch: cell index out of plan")
         | Whole -> failwith "fleet dispatch: shard op on a whole-plan request"
       in
-      let counts = Exec.cell_counts est cell ~lo ~hi in
+      let counts = Exec.cell_counts cell ~lo ~hi in
       ok_counts_frame ~id:!rx counts
     | Some "whole" ->
       let payload = Exec.execute est in

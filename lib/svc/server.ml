@@ -24,23 +24,11 @@ let config ?(max_queue = 32) ?(workers = 2) ?(cache_capacity = 128) ?domains
 
 (* ------------------------------------------------------- estimators *)
 
-(* Single-process request execution lives in [Exec] (the fleet shares
-   it for shard computation); re-exported here for compatibility. *)
-let execute = Exec.execute
-
 (* Admission cost of a request, for deficit-round-robin fairness:
    total trial volume across the request's cells. *)
-let est_cost (est : Protocol.estimator) =
-  match est with
-  | Steane_memory { trials; _ }
-  | Toric_memory { trials; _ }
-  | Toric_noisy { trials; _ }
-  | Toric_circuit { trials; _ }
-  | Css_memory { trials; _ } -> trials
-  | Toric_scan { ls; ps; trials; _ } ->
-    trials * List.length ls * List.length ps
-  | Pseudothreshold { eps_list; trials; _ } ->
-    trials * List.length eps_list
+let est_cost est =
+  List.fold_left (fun acc (c : Exec.cell) -> acc + c.c_trials) 0
+    (Exec.cells est)
 
 (* ------------------------------------------------------------- jobs *)
 
@@ -148,7 +136,8 @@ let worker t =
                          match t.fleet with
                          | Some fleet -> Fleet.execute fleet job.est
                          | None ->
-                           execute ?domains:t.cfg.domains ~obs:t.obs job.est))))
+                           Exec.execute ?domains:t.cfg.domains ~obs:t.obs
+                             job.est))))
         with exn -> Error (Printexc.to_string exn)
       in
       Atomic.decr t.busy;

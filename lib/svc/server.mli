@@ -56,12 +56,6 @@ val config :
   unit ->
   config
 
-(** [execute ?domains ?obs est] — run one estimator synchronously
-    (the function worker threads apply); exposed so tests and bench
-    probes can compare service replies against direct runs. *)
-val execute :
-  ?domains:int -> ?obs:Obs.t -> Protocol.estimator -> Protocol.payload
-
 (** [run ?obs cfg] — bind the socket and serve until the campaign
     stop flag ({!Mc.Campaign.stop_requested}) turns true; then clean
     up (socket file removed) and return.  Raises [Failure] if the

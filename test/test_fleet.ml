@@ -292,7 +292,7 @@ let shard_table =
 let test_exec_shard_table () =
   List.iter
     (fun (est, ncells, tag) ->
-      let what = Svc.Protocol.hash (Run est) in
+      let what = Protocol.to_canonical (Run est) in
       match Svc.Exec.plan est with
       | Whole -> Alcotest.failf "%s must shard" what
       | Sharded cells ->
@@ -305,8 +305,8 @@ let test_exec_shard_table () =
             let n = Svc.Exec.nchunks c in
             let mid = max 1 (n / 3) in
             let parts =
-              Svc.Exec.cell_counts est c ~lo:0 ~hi:mid
-              @ Svc.Exec.cell_counts est c ~lo:mid ~hi:n
+              Svc.Exec.cell_counts c ~lo:0 ~hi:mid
+              @ Svc.Exec.cell_counts c ~lo:mid ~hi:n
             in
             check_int (what ^ ": full chunk coverage") n (List.length parts);
             List.iteri

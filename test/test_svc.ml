@@ -498,7 +498,7 @@ let await_status socket what pred =
 let test_cached_bit_identical () =
   with_server (fun socket ->
       let est = toric_est () in
-      let direct = Svc.Server.execute ~domains:3 est in
+      let direct = Svc.Exec.execute ~domains:3 est in
       let expected_raw =
         Svc.Codec.encode
           (Protocol.result_frame
