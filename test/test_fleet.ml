@@ -244,11 +244,11 @@ let test_jobq_concurrent () =
 
 (* ----------------------------------------------- shard planner *)
 
-(* Every shardable estimator x engine: [(request, expected cell count,
-   expected campaign engine tag)].  Each cell is split at an uneven
-   chunk boundary, so the second range's prefill must replay the first
-   range's chunks exactly, and the per-cell totals must reassemble to
-   a direct run's bytes. *)
+(* Every shardable estimator x engine: [(case name, request, expected
+   cell count, expected campaign engine tag)], one test case per row.
+   Each cell is split at an uneven chunk boundary, so the second
+   range's prefill must replay the first range's chunks exactly, and
+   the per-cell totals must reassemble to a direct run's bytes. *)
 let shard_table =
   let steane engine tile_width =
     Protocol.Steane_memory
@@ -266,62 +266,65 @@ let shard_table =
       { code = "steane7"; eps = 0.05; rounds = 2; trials = 500; seed = 11;
         engine; tile_width }
   in
-  [ (steane `Scalar 64, 1, "scalar");
-    (steane `Batch 256, 1, "batch");
-    (toric `Scalar 64, 1, "scalar");
-    (toric `Batch 128, 1, "batch");
-    ( Protocol.Toric_scan
+  [ ("steane scalar shard reassembles", steane `Scalar 64, 1, "scalar");
+    ("steane batch shard reassembles", steane `Batch 256, 1, "batch");
+    ("toric scalar shard reassembles", toric `Scalar 64, 1, "scalar");
+    ("toric batch shard reassembles", toric `Batch 128, 1, "batch");
+    ( "shard counts reassemble bit-identically",
+      Protocol.Toric_scan
         { ls = [ 4; 6 ]; ps = [ 0.05; 0.1 ]; trials = 400; seed = 3;
           engine = `Scalar; tile_width = 64 },
       4,
       "scalar" );
-    (noisy `Scalar, 1, "scalar");
-    (noisy `Batch, 1, "batch");
-    ( Protocol.Toric_circuit
+    ("noisy scalar shard reassembles", noisy `Scalar, 1, "scalar");
+    ("noisy batch shard reassembles", noisy `Batch, 1, "batch");
+    ( "circuit shard reassembles",
+      Protocol.Toric_circuit
         { l = 4; rounds = 4; eps = 0.002; trials = 20; seed = 5;
           engine = `Scalar },
       1,
       "scalar" );
-    (css `Scalar 64, 1, "scalar");
-    (css `Batch 128, 1, "batch");
-    ( Protocol.Pseudothreshold
+    ("css-memory scalar shard reassembles", css `Scalar 64, 1, "scalar");
+    ( "css-memory shard reassembles bit-identically",
+      css `Batch 128, 1, "batch" );
+    ( "pseudothreshold shard reassembles",
+      Protocol.Pseudothreshold
         { eps_list = [ 1e-3; 2e-3 ]; trials = 200; seed = 6 },
       2,
       "scalar" ) ]
 
-let test_exec_shard_table () =
-  List.iter
-    (fun (est, ncells, tag) ->
-      let what = Protocol.to_canonical (Run est) in
-      match Svc.Exec.plan est with
-      | Whole -> Alcotest.failf "%s must shard" what
-      | Sharded cells ->
-        check_int (what ^ ": cell count") ncells (List.length cells);
-        let totals = Array.make ncells 0 in
-        List.iter
-          (fun c ->
-            check_str (what ^ ": campaign engine") tag
-              (Svc.Exec.job_of_cell c).engine;
-            let n = Svc.Exec.nchunks c in
-            let mid = max 1 (n / 3) in
-            let parts =
-              Svc.Exec.cell_counts c ~lo:0 ~hi:mid
-              @ Svc.Exec.cell_counts c ~lo:mid ~hi:n
-            in
-            check_int (what ^ ": full chunk coverage") n (List.length parts);
-            List.iteri
-              (fun i (idx, _) -> check_int (what ^ ": chunk order") i idx)
-              parts;
-            totals.(c.Svc.Exec.c_index) <-
-              List.fold_left (fun acc (_, f) -> acc + f) 0 parts)
-          cells;
-        check_str
-          (what ^ ": assembled bytes match a direct run")
-          (payload_bytes (Svc.Exec.execute ~domains:2 est))
-          (payload_bytes (Svc.Exec.assemble est ~totals)))
-    shard_table;
-  (* the rare engine has no chunk ledger: the whole request goes to
-     one worker *)
+let test_exec_shard (est, ncells, tag) () =
+  let what = Protocol.to_canonical (Run est) in
+  match Svc.Exec.plan est with
+  | Whole -> Alcotest.failf "%s must shard" what
+  | Sharded cells ->
+    check_int (what ^ ": cell count") ncells (List.length cells);
+    let totals = Array.make ncells 0 in
+    List.iter
+      (fun c ->
+        check_str (what ^ ": campaign engine") tag
+          (Svc.Exec.job_of_cell c).engine;
+        let n = Svc.Exec.nchunks c in
+        let mid = max 1 (n / 3) in
+        let parts =
+          Svc.Exec.cell_counts c ~lo:0 ~hi:mid
+          @ Svc.Exec.cell_counts c ~lo:mid ~hi:n
+        in
+        check_int (what ^ ": full chunk coverage") n (List.length parts);
+        List.iteri
+          (fun i (idx, _) -> check_int (what ^ ": chunk order") i idx)
+          parts;
+        totals.(c.Svc.Exec.c_index) <-
+          List.fold_left (fun acc (_, f) -> acc + f) 0 parts)
+      cells;
+    check_str
+      (what ^ ": assembled bytes match a direct run")
+      (payload_bytes (Svc.Exec.execute ~domains:2 est))
+      (payload_bytes (Svc.Exec.assemble est ~totals))
+
+(* the rare engine has no chunk ledger: the whole request goes to one
+   worker *)
+let test_exec_rare_whole () =
   check "a rare request plans Whole" true
     (Svc.Exec.plan (Protocol.Toric_memory
                       { l = 4; p = 0.01; trials = 100; seed = 2;
@@ -556,8 +559,14 @@ let suites =
           test_codec_partial_vs_closed;
         Alcotest.test_case "jobq concurrent push, drain after close" `Quick
           test_jobq_concurrent;
-        Alcotest.test_case "shards reassemble for every engine" `Slow
-          test_exec_shard_table;
+      ]
+      @ List.map
+          (fun (name, est, ncells, tag) ->
+            Alcotest.test_case name `Slow (test_exec_shard (est, ncells, tag)))
+          shard_table
+      @ [
+        Alcotest.test_case "rare request plans whole" `Quick
+          test_exec_rare_whole;
         Alcotest.test_case "campaign in-memory ledger" `Quick
           test_campaign_in_memory;
         Alcotest.test_case "fleet byte identity under chaos" `Slow
