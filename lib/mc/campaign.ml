@@ -254,6 +254,7 @@ let load ?(flush_every = default_flush_every) ?(fsync = false) file =
   Ok { file; flush_every; fsync; jobs; mutex = Mutex.create (); dirty = 0; flushes = 0 }
 
 let flush t = locked t (fun () -> flush_locked t)
+let flush_pending t = locked t (fun () -> if t.dirty > 0 then flush_locked t)
 
 (* --------------------------------------------------------------- access *)
 

@@ -79,6 +79,12 @@ val jobs : t -> job list
 (** [flush t] — force an atomic write of the current state. *)
 val flush : t -> unit
 
+(** [flush_pending t] — {!flush} if any record has landed since the
+    last flush; otherwise write nothing (the file is already current).
+    The runner calls it when a run ends, so a finished ledger holds
+    every chunk and a pure replay leaves the file untouched. *)
+val flush_pending : t -> unit
+
 (** [to_json t] — the current state as a checkpoint document (sorted,
     so equal stores render byte-identically). *)
 val to_json : t -> Obs.Json.t

@@ -100,7 +100,7 @@ let retryable = function
 type 'acc sup = {
   skip : int -> 'acc option;  (* chunk idx -> checkpointed result *)
   record : int -> 'acc -> unit;  (* persist a freshly computed chunk *)
-  flush : unit -> unit;  (* force checkpoint to disk *)
+  flush : unit -> unit;  (* write pending records to the checkpoint *)
   file : string option;  (* resume token for Interrupted *)
   timeout : float;  (* per-chunk watchdog, seconds; 0 = off *)
   retries : int;
@@ -161,7 +161,7 @@ let counting_sup ?campaign ~engine ~seed ~trials ~chunk ~timeout ~retries
     in
     { skip = (fun idx -> Campaign.find store ~job ~chunk:idx);
       record = (fun idx n -> Campaign.record store ~job ~chunk:idx ~failures:n);
-      flush = (fun () -> Campaign.flush store);
+      flush = (fun () -> Campaign.flush_pending store);
       (* in-memory stores ("" path) have no on-disk resume token *)
       file = (match Campaign.file store with "" -> None | f -> Some f);
       timeout;
@@ -370,12 +370,14 @@ let record_run obs ~engine ~trials ~chunks ~workers ~wall_s ~warmup_s
    chunk order.  [results] slots are written by at most one worker
    each; Domain.join publishes them to the caller.
 
-   Abnormal exits: workers stop claiming once a chunk has exhausted
-   its retries (the first exception is kept, in-flight chunks drain)
-   or once [Campaign.stop_requested] turns true; either way the
-   checkpoint is flushed before the exception — [Chunk_failed] or
-   [Campaign.Interrupted] — reaches the caller, so completed chunks
-   survive. *)
+   The checkpoint's pending records are flushed however the range
+   ends: on success, so the finished ledger holds every chunk and a
+   resume recomputes nothing; on an abnormal exit — workers stop
+   claiming once a chunk has exhausted its retries (the first
+   exception is kept, in-flight chunks drain) or once
+   [Campaign.stop_requested] turns true — before the exception
+   ([Chunk_failed] or [Campaign.Interrupted]) reaches the caller, so
+   completed chunks survive. *)
 let run_chunk_range ~obs ~progress ~tr ~domains ~root ~chunk ~trials ~lo_chunk
     ~hi_chunk ~sup ~engine_label ~worker_init ~trial ~init ~accum =
   let n = hi_chunk - lo_chunk in
@@ -501,11 +503,10 @@ let run_chunk_range ~obs ~progress ~tr ~domains ~root ~chunk ~trials ~lo_chunk
     work 0 warm_ctx;
     List.iter Domain.join spawned
   end;
+  sup.flush ();
   let completed = ref 0 in
   Array.iter (fun d -> if d then incr completed) done_;
   if !completed < n then begin
-    (* abnormal exit: persist what we have, then raise *)
-    sup.flush ();
     match Atomic.get abort with
     | Some e -> raise e
     | None ->
@@ -857,10 +858,10 @@ let failures_batched_impl ?domains ?obs ?campaign ?chunk_timeout ?retries
     Obs.Progress.abandon progress;
     raise e
   in
+  sup.flush ();
   let completed = ref 0 in
   Array.iter (fun d -> if d then incr completed) done_;
   if !completed < nchunks then begin
-    sup.flush ();
     match Atomic.get abort with
     | Some e -> fail e
     | None ->

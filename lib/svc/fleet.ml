@@ -313,6 +313,8 @@ type request_state = {
   r_body : Json.t;  (* encoded estimator, shipped in every dispatch *)
   r_store : Mc.Campaign.t;  (* in-memory re-dispatch ledger *)
   r_progress : Obs.Progress.p option;
+  r_trace : (string * string) option;
+      (* (ambient trace parent, request hash), if tracing at admission *)
   mutable r_left : int;  (* shards outstanding *)
   mutable r_error : string option;
   mutable r_payload : Protocol.payload option;  (* whole-plan result *)
@@ -321,6 +323,7 @@ type request_state = {
 type shard = {
   s_req : request_state;
   s_kind : [ `Cell of Exec.cell * int * int | `Whole ];
+  s_attempt : int;  (* dispatches of this shard lost before this one *)
 }
 
 type proc = {
@@ -329,6 +332,7 @@ type proc = {
   down : Unix.file_descr;  (* write: dispatches *)
   up : Unix.file_descr;  (* read: results + heartbeats *)
   mutable sent : int;  (* dispatches sent to this process (1-based ids) *)
+  mutable heard : float;  (* when the last frame arrived from it *)
 }
 
 type t = {
@@ -406,7 +410,7 @@ let spawn t ~slot ~gen =
       List.iter close_fd [ down_r; up_w; null_r; null_w ];
       Atomic.incr t.spawned;
       Obs.incr t.obs "svc.fleet.spawns";
-      { pid; gen; down = down_w; up = up_r; sent = 0 })
+      { pid; gen; down = down_w; up = up_r; sent = 0; heard = 0.0 })
 
 let reap p =
   close_fd p.down;
@@ -475,7 +479,8 @@ let narrow_range store cell ~lo ~hi =
 let requeue t shard =
   Atomic.incr t.redispatched;
   Obs.incr t.obs "svc.fleet.redispatched";
-  match Jobq.push t.squeue shard with
+  match Jobq.push t.squeue { shard with s_attempt = shard.s_attempt + 1 }
+  with
   | Ok () -> ()
   | Error (`Closed | `Overloaded) ->
     fail_request t shard.s_req "fleet shutting down with shard in flight"
@@ -487,7 +492,7 @@ let requeue t shard =
    worker, this is also the hang path). *)
 let await_result t p ~id ~shard =
   let hang_on = t.cfg.hang_timeout > 0.0 in
-  let last_frame = ref (Obs.now ()) in
+  p.heard <- Obs.now ();
   let last_sample = ref (-1, -1) in
   let last_advance = ref (Obs.now ()) in
   let killed = ref false in
@@ -508,7 +513,7 @@ let await_result t p ~id ~shard =
          [hb_interval], so prolonged silence means the process is
          wedged harder than the cooperative watchdog can see. *)
       if hang_on
-         && Obs.now () -. !last_frame
+         && Obs.now () -. p.heard
             > t.cfg.hang_timeout +. (2.0 *. t.cfg.hb_interval)
       then kill_hung ();
       loop ()
@@ -516,7 +521,7 @@ let await_result t p ~id ~shard =
       match Codec.read p.up with
       | Error (`Closed | `Bad _) -> `Crashed
       | Ok (j, _) -> (
-        last_frame := Obs.now ();
+        p.heard <- Obs.now ();
         match jstr j "op" with
         | Some "ok" when jint j "id" = Some id ->
           let counts =
@@ -569,6 +574,56 @@ let await_result t p ~id ~shard =
         | _ -> loop ()))
   in
   loop ()
+
+(* One [cat:"fleet"] span per dispatch+await, parented under the
+   request's ambient span (the server's execute span).  The id is a
+   function of the work — request, cell, chunk range and how many
+   dispatches of the shard were lost before — so a re-dispatch gets a
+   new id and a rerun of the same request the same ones.  A completed
+   dispatch ends when its result frame arrived, before the waiter was
+   woken, so the span lies inside its parent.  A dispatch that ends
+   after its request has already failed may outlive the parent span;
+   it is emitted as a root instead. *)
+let trace_dispatch t ~slot p shard ~t0 outcome =
+  match shard.s_req.r_trace with
+  | None -> ()
+  | Some (parent, khash) ->
+    let t1 =
+      match outcome with `Done -> p.heard | `Lost | `Crashed -> Obs.now ()
+    in
+    let failed =
+      Mutex.lock t.tmu;
+      let f = shard.s_req.r_error <> None in
+      Mutex.unlock t.tmu;
+      f
+    in
+    let name, range =
+      match shard.s_kind with
+      | `Cell (cell, lo, hi) ->
+        ( Printf.sprintf "shard %d [%d,%d)" cell.Exec.c_index lo hi,
+          [ ("cell", cell.Exec.c_index); ("lo", lo); ("hi", hi) ] )
+      | `Whole -> ("whole request", [])
+    in
+    let outcome =
+      match outcome with
+      | `Done -> "done"
+      | `Lost -> "lost"
+      | `Crashed -> "crashed"
+    in
+    Obs.Trace.emit
+      { Obs.Trace.id =
+          Obs.Trace.span_id
+            ([ parent; khash; "fleet"; string_of_int shard.s_attempt ]
+            @ List.map (fun (_, v) -> string_of_int v) range);
+        parent = (if failed then "" else parent);
+        name;
+        cat = "fleet";
+        start_s = t0;
+        dur_s = t1 -. t0;
+        args =
+          [ ("slot", Json.Int slot); ("gen", Json.Int p.gen) ]
+          @ List.map (fun (k, v) -> (k, Json.Int v)) range
+          @ [ ("outcome", Json.String outcome) ] }
 
 (* One slot's supervisor: owns the slot's worker process end to end —
    dispatch, liveness, restart — and claims shards from the shared
@@ -649,20 +704,26 @@ let supervisor t ~slot =
         match dispatch with
         | None -> serve ()
         | Some (id, frame, shard) -> (
-          match Codec.write !p.down frame with
-          | () -> (
-            !p.sent <- id;
-            match await_result t !p ~id ~shard with
-            | `Done -> serve ()
-            | `Lost ->
-              requeue t shard;
-              serve ()
-            | `Crashed ->
-              requeue t shard;
-              if respawn_or_retire () then serve ())
-          | exception _ ->
-            (* the pipe died while the worker was idle: crash path,
-               with the shard never having left our hands *)
+          let t0 =
+            match r.r_trace with None -> 0.0 | Some _ -> Obs.now ()
+          in
+          let outcome =
+            match Codec.write !p.down frame with
+            | () ->
+              !p.sent <- id;
+              await_result t !p ~id ~shard
+            | exception _ ->
+              (* the pipe died while the worker was idle: crash path,
+                 with the shard never having left our hands *)
+              `Crashed
+          in
+          trace_dispatch t ~slot !p shard ~t0 outcome;
+          match outcome with
+          | `Done -> serve ()
+          | `Lost ->
+            requeue t shard;
+            serve ()
+          | `Crashed ->
             requeue t shard;
             if respawn_or_retire () then serve ())
       end
@@ -731,6 +792,10 @@ let execute t (est : Protocol.estimator) : Protocol.payload =
         Obs.Progress.create
           ~label:(Protocol.estimator_name est)
           ~total:(List.length kinds);
+      r_trace =
+        (if Obs.Trace.enabled () then
+           Some (Obs.Trace.current_parent (), Protocol.hash (Run est))
+         else None);
       r_left = List.length kinds;
       r_error = None;
       r_payload = None }
@@ -750,7 +815,7 @@ let execute t (est : Protocol.estimator) : Protocol.payload =
   end;
   List.iter
     (fun s_kind ->
-      match Jobq.push t.squeue { s_req = r; s_kind } with
+      match Jobq.push t.squeue { s_req = r; s_kind; s_attempt = 0 } with
       | Ok () -> ()
       | Error (`Closed | `Overloaded) ->
         fail_request t r "fleet: shard queue unavailable")

@@ -64,7 +64,13 @@ val create : ?obs:Obs.t -> config -> t
 (** [execute t est] — run one request on the fleet and return the
     payload, bit-identical to [Exec.execute est] in-process.  Raises
     [Failure] when the request cannot complete (estimator error, or
-    every slot exhausted its restarts). *)
+    every slot exhausted its restarts).  With tracing on
+    ({!Obs.Trace.enabled} when [execute] starts), every dispatch of a
+    shard to a worker emits one [cat:"fleet"] span under the caller's
+    ambient trace parent, with args [slot], [gen], [cell], [lo], [hi]
+    (the last three absent for a whole-request dispatch) and [outcome]
+    ([done], [lost] or [crashed]); ids are deterministic in the work
+    and distinct across re-dispatches. *)
 val execute : t -> Protocol.estimator -> Protocol.payload
 
 type stats = {

@@ -19,6 +19,9 @@ let config ?(max_queue = 32) ?(workers = 2) ?(cache_capacity = 128) ?domains
     ?(progress_interval = 1.0) ?fleet ?(limit = Qos.unlimited) ~socket () =
   if max_queue < 1 then invalid_arg "Server.config: max_queue must be >= 1";
   if workers < 1 then invalid_arg "Server.config: workers must be >= 1";
+  (* the accept loop ticks at this cadence: zero would spin it *)
+  if not (progress_interval > 0.0) then
+    invalid_arg "Server.config: progress_interval must be > 0";
   { socket; max_queue; workers; cache_capacity; domains; progress_interval;
     fleet; limit }
 
@@ -44,6 +47,7 @@ type job = {
   tenant : string;  (* admitting tenant (coalesced joiners may differ) *)
   started : float;  (* admission time *)
   jlock : Mutex.t;
+  jwake : Condition.t;  (* under [jlock]: state changes and ticks *)
   mutable state : job_state;
 }
 
@@ -58,6 +62,7 @@ type t = {
   ilock : Mutex.t;
   started_at : float;
   busy : int Atomic.t;  (* workers currently executing *)
+  ticks : int Atomic.t;  (* progress ticks of the accept loop so far *)
   mutable conns : (Thread.t * Unix.file_descr) list;  (* under [clock] *)
   clock : Mutex.t;
 }
@@ -93,7 +98,23 @@ let job_state j =
 let set_job_state j s =
   Mutex.lock j.jlock;
   j.state <- s;
+  Condition.broadcast j.jwake;
   Mutex.unlock j.jlock
+
+(* One progress tick: wake every waiter of every in-flight job so it
+   can stream a frame.  [jlock] is taken for the broadcast, so a waiter
+   that has just read the old tick count is already waiting when the
+   broadcast lands.  Lock order: [ilock] before [jlock]. *)
+let tick t =
+  Atomic.incr t.ticks;
+  Mutex.lock t.ilock;
+  Hashtbl.iter
+    (fun _ j ->
+      Mutex.lock j.jlock;
+      Condition.broadcast j.jwake;
+      Mutex.unlock j.jlock)
+    t.inflight;
+  Mutex.unlock t.ilock
 
 (* ---------------------------------------------------------- workers *)
 
@@ -174,42 +195,54 @@ let finish_request t fd ~key ~khash ~est_name ~t0 ~cached ~coalesced payload =
       send fd (Protocol.meta_frame ~cached ~coalesced ~wall_s:wall);
       send fd (Protocol.result_frame ~key payload))
 
-(* Wait for [job] to finish, streaming progress frames.  Polling (with
-   a short sleep) instead of a condition: OCaml's Condition.wait has
-   no timeout, and we need to wake up for the progress cadence and for
-   daemon shutdown anyway. *)
+(* Wait for [job] to finish, streaming progress frames.  The waiter
+   blocks on the job's condition: the worker's [Finished] broadcast
+   wakes it at once, and each accept-loop tick wakes it to send one
+   progress frame.  Each pass makes one read of the state under
+   [jlock]; that read decides between replying, sending a frame (whose
+   "running"/"queued" field it supplies) and waiting, so a job that
+   finishes in between is never reported as still queued. *)
 let await_job t fd ~coalesced ~t0 job =
-  let last_progress = ref (Obs.now ()) in
+  let seen = ref (Atomic.get t.ticks) in
+  let progress state =
+    let now = Obs.now () in
+    (* sample the runner's own completion for this job (reporters
+       are scoped by request hash); every waiter — primary and
+       coalesced joiners alike — gets the enriched frame *)
+    let completed, total, phase =
+      match job_progress job.khash with
+      | Some v -> (Some v.v_done, Some v.v_total, Some v.v_label)
+      | None -> (None, None, None)
+    in
+    send fd
+      (Protocol.progress_frame ?completed ?total ?phase ~key:job.key
+         ~state:(match state with Running -> "running" | _ -> "queued")
+         ~elapsed_s:(now -. job.started)
+         ())
+  in
   let rec loop () =
-    match job_state job with
-    | Finished (Ok payload) ->
-      finish_request t fd ~key:job.key ~khash:job.khash
-        ~est_name:(Protocol.estimator_name job.est) ~t0 ~cached:false
-        ~coalesced payload
-    | Finished (Error msg) ->
-      send fd (Protocol.error_frame ~code:"failed" ~message:msg ())
-    | Queued | Running ->
-      let now = Obs.now () in
-      if now -. !last_progress >= t.cfg.progress_interval then begin
-        last_progress := now;
-        let state =
-          match job_state job with Running -> "running" | _ -> "queued"
-        in
-        (* sample the runner's own completion for this job (reporters
-           are scoped by request hash); every waiter — primary and
-           coalesced joiners alike — gets the enriched frame *)
-        let completed, total, phase =
-          match job_progress job.khash with
-          | Some v -> (Some v.v_done, Some v.v_total, Some v.v_label)
-          | None -> (None, None, None)
-        in
-        send fd
-          (Protocol.progress_frame ?completed ?total ?phase ~key:job.key
-             ~state
-             ~elapsed_s:(now -. job.started)
-             ())
+    Mutex.lock job.jlock;
+    match job.state with
+    | Finished result -> (
+      Mutex.unlock job.jlock;
+      match result with
+      | Ok payload ->
+        finish_request t fd ~key:job.key ~khash:job.khash
+          ~est_name:(Protocol.estimator_name job.est) ~t0 ~cached:false
+          ~coalesced payload
+      | Error msg ->
+        send fd (Protocol.error_frame ~code:"failed" ~message:msg ()))
+    | (Queued | Running) as state ->
+      let ticks = Atomic.get t.ticks in
+      if ticks <> !seen then begin
+        Mutex.unlock job.jlock;
+        seen := ticks;
+        progress state
+      end
+      else begin
+        Condition.wait job.jwake job.jlock;
+        Mutex.unlock job.jlock
       end;
-      Thread.delay 0.02;
       loop ()
   in
   loop ()
@@ -277,6 +310,7 @@ let handle_run t fd ~tenant ~high est =
               tenant;
               started = t0;
               jlock = Mutex.create ();
+              jwake = Condition.create ();
               state = Queued;
             }
           in
@@ -474,6 +508,11 @@ let claim_socket path =
   end
 
 let run ?(obs = Obs.create ()) cfg =
+  (* a client that leaves while its request waits must cost only its
+     connection: the next write to it fails with EPIPE (ending that
+     handler) instead of a SIGPIPE killing the daemon *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+   with Invalid_argument _ -> ());
   claim_socket cfg.socket;
   let listen_fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
   (* fleet first: worker processes must exist before jobs can pop *)
@@ -490,6 +529,7 @@ let run ?(obs = Obs.create ()) cfg =
       ilock = Mutex.create ();
       started_at = Obs.now ();
       busy = Atomic.make 0;
+      ticks = Atomic.make 0;
       conns = [];
       clock = Mutex.create ();
     }
@@ -510,9 +550,16 @@ let run ?(obs = Obs.create ()) cfg =
       Unix.listen listen_fd 64;
       let workers = List.init cfg.workers (fun _ -> Thread.create worker t) in
       (* accept loop: select with a timeout so the campaign stop flag
-         (signal handler or shutdown request) is noticed promptly *)
+         (signal handler or shutdown request) is noticed promptly.  It
+         is also the progress ticker: the tick is due by elapsed time,
+         whatever woke the select, so a stream of connections cannot
+         starve it, and the timeout never overshoots it. *)
+      let next_tick = ref (Obs.now () +. cfg.progress_interval) in
       while not (Mc.Campaign.stop_requested ()) do
-        match Unix.select [ listen_fd ] [] [] 0.2 with
+        let timeout =
+          Float.min 0.2 (Float.max 0.0 (!next_tick -. Obs.now ()))
+        in
+        (match Unix.select [ listen_fd ] [] [] timeout with
         | [], _, _ -> ()
         | _ :: _, _, _ ->
           (* cloexec: restarted fleet workers must not inherit client
@@ -524,10 +571,17 @@ let run ?(obs = Obs.create ()) cfg =
           let th = Thread.create (fun () -> handle_conn t fd) () in
           t.conns <- (th, fd) :: t.conns;
           Mutex.unlock t.clock
-        | exception Unix.Unix_error (EINTR, _, _) -> ()
+        | exception Unix.Unix_error (EINTR, _, _) -> ());
+        let now = Obs.now () in
+        if now >= !next_tick then begin
+          next_tick := now +. cfg.progress_interval;
+          tick t
+        end
       done;
       (* drain: workers finish queued jobs (pop empties the queue
-         before yielding None), waiters then see Finished and reply *)
+         before yielding None); each [Finished] broadcast releases its
+         waiters, which reply.  No ticks run from here on, so the
+         drain streams no progress frames. *)
       Qos.close t.queue;
       List.iter Thread.join workers;
       Option.iter Fleet.shutdown t.fleet;
@@ -535,9 +589,11 @@ let run ?(obs = Obs.create ()) cfg =
       let conns = t.conns in
       t.conns <- [];
       Mutex.unlock t.clock;
-      (* nudge any connection still blocked in read, then collect *)
+      (* nudge any connection still blocked in read, then collect.
+         Receive side only: a waiter woken by the drain's last finish
+         may still be writing its reply. *)
       List.iter
         (fun (_, fd) ->
-          try Unix.shutdown fd SHUTDOWN_ALL with Unix.Unix_error _ -> ())
+          try Unix.shutdown fd SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
         conns;
       List.iter (fun (th, _) -> Thread.join th) conns)

@@ -4,15 +4,19 @@
     Request lifecycle: a connection thread parses one [ftqc-rpc/1]
     request, consults the LRU {!Cache} (hit → immediate byte-identical
     reply), otherwise coalesces onto an in-flight job with the same
-    canonical key or enqueues a new one on the bounded {!Jobq}
-    (overflow → structured [overloaded] error).  A pool of worker
-    threads drains the queue, driving {!Mc.Runner}-based estimators —
-    whose counts are domain-count-invariant, so a cached, coalesced or
-    fresh reply to the same canonical request (seed included) carries
-    bit-identical failure counts.  While a job runs, waiting
-    connections stream periodic [progress] frames; completion sends a
-    [meta] frame (cache/coalescing flags, wall time) and then the
-    deterministic [result] frame.
+    canonical key or enqueues a new one on the bounded {!Qos}
+    scheduler (overflow → structured [overloaded] error).  A pool of
+    worker threads drains the queue, driving {!Mc.Runner}-based
+    estimators — whose counts are domain-count-invariant, so a cached,
+    coalesced or fresh reply to the same canonical request (seed
+    included) carries bit-identical failure counts.  Every waiting
+    connection — the primary and each coalesced joiner — blocks on its
+    job's condition variable, never on a timer: the worker's finish
+    broadcast wakes it at once, and it sends a [meta] frame
+    (cache/coalescing flags, wall time) and then the deterministic
+    [result] frame.  While the job is queued or running, the accept
+    loop ticks every [progress_interval] seconds and each tick wakes
+    every waiter to stream one [progress] frame.
 
     Telemetry: the handle passed to {!run} (or a fresh live one)
     accumulates [svc.*] series — request/hit/miss/coalesced/overloaded
@@ -24,7 +28,9 @@
     [Mc.Campaign.install_signal_handlers] (or a [shutdown] request,
     or {!Mc.Campaign.request_stop}) raises the stop flag; the accept
     loop notices, drains queued jobs, joins the workers, closes every
-    connection and removes the socket file. *)
+    connection and removes the socket file.  The drain releases every
+    waiter through its job's finish broadcast; progress ticks stop with
+    the accept loop, so no [progress] frames go out during it. *)
 
 type config = {
   socket : string;  (** Unix-domain socket path *)
@@ -34,7 +40,9 @@ type config = {
   domains : int option;
       (** [?domains] forwarded to {!Mc.Runner} (None = engine default);
           counts do not depend on it *)
-  progress_interval : float;  (** seconds between progress frames *)
+  progress_interval : float;
+      (** seconds between progress ticks (one [progress] frame per
+          waiter per tick); must be positive *)
   fleet : Fleet.config option;
       (** [Some cfg] shards jobs over a multi-process {!Fleet};
           [None] executes in-process *)
@@ -43,7 +51,9 @@ type config = {
 
 (** [config ~socket ()] — defaults: [max_queue 32], [workers 2],
     [cache_capacity 128], [domains None], [progress_interval 1.0],
-    no fleet, no rate limit. *)
+    no fleet, no rate limit.  Raises [Invalid_argument] on
+    [max_queue < 1], [workers < 1] or a non-positive
+    [progress_interval]. *)
 val config :
   ?max_queue:int ->
   ?workers:int ->
@@ -57,9 +67,13 @@ val config :
   config
 
 (** [run ?obs cfg] — bind the socket and serve until the campaign
-    stop flag ({!Mc.Campaign.stop_requested}) turns true; then clean
-    up (socket file removed) and return.  Raises [Failure] if the
-    socket path is in use by a live daemon; a stale socket file (no
-    listener) is replaced.  Call from a thread to embed a daemon
-    in-process. *)
+    stop flag ({!Mc.Campaign.stop_requested}) turns true; then drain
+    and clean up (socket file removed) and return.  While serving, the
+    accept loop wakes at least every 0.2 s to check the flag and ticks
+    progress every [cfg.progress_interval] seconds of elapsed time.
+    The drain runs every queued job to completion and each finish
+    wakes its waiters, which reply before [run] returns; it sends no
+    progress frames.  Raises [Failure] if the socket path is in use by
+    a live daemon; a stale socket file (no listener) is replaced.
+    Call from a thread to embed a daemon in-process. *)
 val run : ?obs:Obs.t -> config -> unit

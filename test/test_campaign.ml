@@ -291,6 +291,52 @@ let test_full_replay () =
       check_int "full replay = reference" expected replay;
       check_int "replay executes no trials" 0 !executed)
 
+(* A finished run at the default flush cadence (8) leaves every chunk
+   on disk — the last partial interval too — so a resume from the
+   loaded ledger executes nothing, and that pure replay writes nothing
+   (a flush renames a fresh file into place, which changes the
+   inode).  Chunk counts 14 and 15 are not multiples of 8. *)
+let test_finished_ledger_complete () =
+  let run_twice name ~chunks run =
+    with_fresh_campaign (fun path c ->
+        let executed = Atomic.make 0 in
+        let first = run c executed ~domains:2 in
+        let loaded =
+          match Mc.Campaign.load path with
+          | Ok c' -> c'
+          | Error m -> Alcotest.fail m
+        in
+        (match Mc.Campaign.jobs loaded with
+        | [ job ] ->
+          check_int (name ^ ": every chunk in the finished ledger") chunks
+            (Mc.Campaign.completed loaded ~job)
+        | jobs -> Alcotest.failf "%s: %d jobs in the ledger" name
+                    (List.length jobs));
+        let inode = (Unix.stat path).Unix.st_ino in
+        Atomic.set executed 0;
+        (* one domain: the multi-domain path runs a throwaway warmup
+           trial even when every chunk is cached *)
+        let resumed = run loaded executed ~domains:1 in
+        check_int (name ^ ": resume reproduces the count") first resumed;
+        check_int (name ^ ": resume executes nothing") 0
+          (Atomic.get executed);
+        check (name ^ ": pure replay leaves the file untouched") true
+          ((Unix.stat path).Unix.st_ino = inode))
+  in
+  run_twice "scalar" ~chunks:14 (fun c executed ~domains ->
+      Mc.Runner.failures ~domains ~chunk:300 ~campaign:c ~trials ~seed
+        (Mc.Runner.scalar (fun rng i ->
+             Atomic.incr executed;
+             trial rng i)));
+  run_twice "batch" ~chunks:15 (fun c executed ~domains ->
+      Mc.Runner.failures ~domains ~engine:(Mc.Engine.batch ()) ~campaign:c
+        ~trials:900 ~seed
+        (Mc.Runner.model ~worker_init:(fun () -> ())
+           ~batch:(fun ctx keys ~base ~count ->
+             Atomic.incr executed;
+             batch ctx keys ~base ~count)
+           ()))
+
 (* --- SIGKILL mid-write: the file on disk always parses --------------- *)
 
 (* [Unix.fork] is illegal once domains exist (and earlier tests spawn
@@ -490,6 +536,8 @@ let suites =
           (interrupt_resume_batch ~tile_width:256 ~domains:2);
         Alcotest.test_case "tile width invariance" `Quick
           test_tile_width_invariant;
+        Alcotest.test_case "finished ledger holds every chunk" `Quick
+          test_finished_ledger_complete;
         Alcotest.test_case "full replay executes nothing" `Quick
           test_full_replay;
         Alcotest.test_case "SIGKILL leaves parseable checkpoint" `Quick

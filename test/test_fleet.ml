@@ -403,6 +403,10 @@ let with_server ?fleet ?(limit = Svc.Qos.unlimited) ?(workers = 2)
       check "socket file removed on shutdown" false (Sys.file_exists socket))
     (fun () -> f socket)
 
+(* Served through the daemon with tracing on: the fleet's dispatch
+   spans hang off the request's execute span, one per dispatch — the
+   killed worker's lost dispatch and its re-dispatch included, under
+   distinct ids — and the whole trace validates. *)
 let test_server_fleet_status () =
   let est = toric_est ~trials:2000 ~seed:11 () in
   let direct = Svc.Exec.execute ~domains:2 est in
@@ -410,6 +414,9 @@ let test_server_fleet_status () =
     Svc.Fleet.config ~domains:1 ~hb_interval:0.05 ~restart_backoff:0.05
       ~chaos:[ Chaos.kill_worker ~worker:0 () ] ~size:2 ()
   in
+  let sk = Obs.Trace.sink () in
+  Obs.Trace.install (Some sk);
+  Fun.protect ~finally:(fun () -> Obs.Trace.install None) @@ fun () ->
   with_server ~fleet (fun socket ->
       match
         Svc.Client.with_connection ~socket (fun fd ->
@@ -447,7 +454,39 @@ let test_server_fleet_status () =
         check_int "all workers alive" 2 (geti "alive");
         check "restart visible in status" true (geti "restarts" >= 1);
         check "re-dispatch visible in status" true
-          (geti "redispatched" >= 1))
+          (geti "redispatched" >= 1));
+  let spans = Obs.Trace.sink_spans sk in
+  let fleet_spans =
+    List.filter (fun (s : Obs.Trace.span) -> s.cat = "fleet") spans
+  in
+  let exec_ids =
+    List.filter_map
+      (fun (s : Obs.Trace.span) ->
+        if s.name = "execute" then Some s.id else None)
+      spans
+  in
+  check "fleet dispatch spans recorded" true (fleet_spans <> []);
+  List.iter
+    (fun (s : Obs.Trace.span) ->
+      check (s.name ^ " hangs off the execute span") true
+        (List.mem s.parent exec_ids);
+      List.iter
+        (fun k -> check (s.name ^ " carries " ^ k) true (List.mem_assoc k s.args))
+        [ "slot"; "gen"; "cell"; "lo"; "hi"; "outcome" ])
+    fleet_spans;
+  let outcome o (s : Obs.Trace.span) =
+    List.assoc_opt "outcome" s.args = Some (Json.String o)
+  in
+  check "the killed dispatch is a crashed span" true
+    (List.exists (outcome "crashed") fleet_spans);
+  check "completed dispatches are done spans" true
+    (List.exists (outcome "done") fleet_spans);
+  let ids = List.map (fun (s : Obs.Trace.span) -> s.id) fleet_spans in
+  check_int "dispatch span ids are distinct" (List.length ids)
+    (List.length (List.sort_uniq compare ids));
+  match Obs.Trace.validate (Obs.Trace.to_json sk) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "fleet trace invalid: %s" e
 
 (* ------------------------------------------------ client retry *)
 

@@ -391,13 +391,15 @@ let fresh_socket_path () =
   f
 
 (* An in-process daemon on a temp socket; the campaign stop flag is
-   the shutdown path, exactly as in the real ftqcd. *)
-let with_server ?(workers = 2) ?(max_queue = 8) f =
+   the shutdown path, exactly as in the real ftqcd.  Returns the socket
+   path and the thread running [Svc.Server.run]. *)
+let start_server ?(workers = 2) ?(max_queue = 8) ?(progress_interval = 0.05)
+    () =
   Mc.Campaign.reset_stop ();
   let socket = fresh_socket_path () in
   let cfg =
     Svc.Server.config ~workers ~max_queue ~cache_capacity:8 ~domains:2
-      ~progress_interval:0.05 ~socket ()
+      ~progress_interval ~socket ()
   in
   let obs = Obs.create () in
   let th = Thread.create (fun () -> Svc.Server.run ~obs cfg) () in
@@ -410,6 +412,10 @@ let with_server ?(workers = 2) ?(max_queue = 8) f =
     end
   in
   wait 250;
+  (socket, th)
+
+let with_server ?workers ?max_queue ?progress_interval f =
+  let socket, th = start_server ?workers ?max_queue ?progress_interval () in
   Fun.protect
     ~finally:(fun () ->
       Mc.Campaign.request_stop ();
@@ -736,6 +742,193 @@ let test_progress_completion_streams () =
           (Atomic.get joiner_saw)
       | _ -> Alcotest.fail "requests did not complete")
 
+(* ------------------------------------------------ reply wakeups
+
+   A waiter blocks on its job's condition until the worker's finish
+   broadcast wakes it.  These tests carry no timing bound: a lost
+   wakeup leaves a client blocked forever, and the only way they fail
+   on it is the 60 s watchdog below.  With [progress_interval = 3600]
+   the daemon never ticks during a test, so nothing but the finish
+   broadcast can wake a waiter. *)
+
+(* Run [f] on its own thread and wait for it.  On expiry the process
+   exits at once: the daemon under test holds a waiter that can never
+   wake, so no cleanup (its shutdown joins that waiter) could finish. *)
+let within_watchdog what f =
+  let result = Atomic.make None in
+  let _ =
+    Thread.create
+      (fun () ->
+        Atomic.set result (Some (try Ok (f ()) with e -> Error e)))
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. 60.0 in
+  let rec wait () =
+    match Atomic.get result with
+    | Some (Ok v) -> v
+    | Some (Error e) -> raise e
+    | None when Unix.gettimeofday () > deadline ->
+      Printf.eprintf "FAIL %s: never replied within 60 s\n%!" what;
+      exit 1
+    | None ->
+      Thread.delay 0.005;
+      wait ()
+  in
+  wait ()
+
+let test_wakeup_back_to_back () =
+  with_server ~progress_interval:3600.0 (fun socket ->
+      let replies =
+        within_watchdog "200 back-to-back fresh requests" (fun () ->
+            match
+              Svc.Client.with_connection ~socket (fun fd ->
+                  List.init 200 (fun i ->
+                      Svc.Client.request fd
+                        (toric_est ~l:4 ~trials:20 ~seed:(1000 + i) ())))
+            with
+            | Ok replies -> replies
+            | Error msg -> Alcotest.failf "connect failed: %s" msg)
+      in
+      check_int "every request replied" 200 (List.length replies);
+      List.iteri
+        (fun i r ->
+          match r with
+          | Ok (o : Svc.Client.outcome) ->
+            check (Printf.sprintf "request %d is fresh" i) false o.cached;
+            check_int
+              (Printf.sprintf "request %d saw no progress tick" i)
+              0 o.progress_frames
+          | Error (e : Svc.Client.error) ->
+            Alcotest.failf "request %d failed: %s: %s" i e.code e.message)
+        replies)
+
+(* a held job's primary waiter and its coalesced joiner, with no tick
+   to rescue either *)
+let test_wakeup_coalesced () =
+  with_server ~workers:1 ~progress_interval:3600.0 (fun socket ->
+      let est = toric_est ~trials:2000 ~seed:41 () in
+      with_held est @@ fun release ->
+      let r1 = ref None and r2 = ref None in
+      let t1 = Thread.create (fun () -> r1 := Some (request_ok socket est)) () in
+      await_status socket "job running" (fun j -> busy_workers j = 1);
+      let t2 = Thread.create (fun () -> r2 := Some (request_ok socket est)) () in
+      await_status socket "second request joined"
+        (fun j -> counter "svc.coalesced" j = 1);
+      release ();
+      within_watchdog "held job's two waiters" (fun () ->
+          Thread.join t1;
+          Thread.join t2);
+      match (!r1, !r2) with
+      | Some a, Some b ->
+        check "primary is fresh" false (a.coalesced || a.cached);
+        check "second request joined the first job" true b.coalesced;
+        check_str "both waiters got the same result bytes" a.raw_result
+          b.raw_result;
+        check_int "no progress frame without a tick" 0
+          (a.progress_frames + b.progress_frames)
+      | _ -> Alcotest.fail "waiters did not get their results")
+
+(* A stop request while a job is held: the drain runs the job to
+   completion, its finish releases both of its waiters, and [run]
+   returns.  The job is a single chunk, so once held inside that
+   chunk's progress step the stop flag can no longer interrupt it.  A
+   filler job fills the one queue slot, so a probe request on a
+   connection opened before the stop is refused as [overloaded] until
+   the drain closes the queue, and as [shutting_down] after: the job
+   is released only once the accept loop has exited.  The filler
+   itself is drained too; the stop flag interrupts its runner before
+   its first chunk, so its waiter gets a [failed] error frame. *)
+let test_wakeup_shutdown_drain () =
+  let socket, th = start_server ~workers:1 ~max_queue:1 () in
+  let joined = ref false in
+  Fun.protect
+    ~finally:(fun () ->
+      if not !joined then begin
+        Mc.Campaign.request_stop ();
+        Thread.join th
+      end;
+      Mc.Campaign.reset_stop ())
+    (fun () ->
+      let est = toric_est ~trials:1 ~seed:43 () in
+      let r1 = ref None and r2 = ref None and r3 = ref None in
+      (with_held est @@ fun release ->
+       let t1 =
+         Thread.create (fun () -> r1 := Some (request_ok socket est)) ()
+       in
+       await_status socket "job running" (fun j -> busy_workers j = 1);
+       let t2 =
+         Thread.create (fun () -> r2 := Some (request_ok socket est)) ()
+       in
+       await_status socket "second request joined"
+         (fun j -> counter "svc.coalesced" j = 1);
+       let t3 =
+         Thread.create
+           (fun () ->
+             r3 :=
+               Some
+                 (Svc.Client.with_connection ~socket (fun fd ->
+                      Svc.Client.request fd (toric_est ~trials:1 ~seed:44 ()))))
+           ()
+       in
+       await_status socket "filler queued" (fun j -> queue_depth j = 1);
+       let probe =
+         match Svc.Client.connect ~socket with
+         | Ok fd -> fd
+         | Error msg -> Alcotest.failf "connect failed: %s" msg
+       in
+       Fun.protect ~finally:(fun () -> Svc.Client.close probe) @@ fun () ->
+       Mc.Campaign.request_stop ();
+       within_watchdog "queue closed by the drain" (fun () ->
+           let rec go () =
+             match Svc.Client.request probe (toric_est ~trials:1 ~seed:45 ()) with
+             | Error { code = "overloaded"; _ } ->
+               Thread.delay 0.005;
+               go ()
+             | Error { code = "shutting_down"; _ } -> ()
+             | Error e -> Alcotest.failf "probe: %s: %s" e.code e.message
+             | Ok _ -> Alcotest.fail "probe admitted past a full queue"
+           in
+           go ());
+       release ();
+       within_watchdog "waiters of jobs drained at shutdown" (fun () ->
+           List.iter Thread.join [ t1; t2; t3 ]);
+       within_watchdog "Server.run after the drain" (fun () -> Thread.join th);
+       joined := true);
+      check "socket removed after the drain" false (Sys.file_exists socket);
+      (match !r3 with
+      | Some (Ok (Error { code = "failed"; _ })) -> ()
+      | Some (Ok (Error e)) ->
+        Alcotest.failf "filler: %s: %s" e.code e.message
+      | Some (Ok (Ok _)) -> Alcotest.fail "filler ran despite the stop"
+      | Some (Error msg) -> Alcotest.failf "filler connect failed: %s" msg
+      | None -> Alcotest.fail "filler waiter got no reply");
+      match (!r1, !r2) with
+      | Some a, Some b ->
+        check "second request joined the first job" true b.coalesced;
+        check_str "both waiters got the same result bytes" a.raw_result
+          b.raw_result
+      | _ -> Alcotest.fail "waiters did not get their results")
+
+(* a client that leaves while its request waits: the reply write to
+   it fails, and the daemon keeps serving.  [with_server] returns only
+   after joining that connection's handler, so the write has happened
+   when the test returns; a SIGPIPE would have killed the test binary
+   there. *)
+let test_departed_waiter () =
+  with_server ~workers:1 (fun socket ->
+      let est = toric_est ~trials:1 ~seed:47 () in
+      with_held est @@ fun release ->
+      let fd =
+        match Svc.Client.connect ~socket with
+        | Ok fd -> fd
+        | Error msg -> Alcotest.failf "connect failed: %s" msg
+      in
+      Svc.Codec.write fd (Protocol.request_frame (Run est));
+      await_status socket "job running" (fun j -> busy_workers j = 1);
+      Svc.Client.close fd;
+      release ();
+      ignore (request_ok socket (toric_est ~trials:20 ~seed:48 ())))
+
 (* the extended status frame: worker utilization and the in-flight job
    table, live while a request runs *)
 let test_status_inflight_jobs () =
@@ -868,6 +1061,14 @@ let suites =
           test_progress_completion_streams;
         Alcotest.test_case "status lists in-flight jobs" `Slow
           test_status_inflight_jobs;
+        Alcotest.test_case "back-to-back replies without ticks" `Quick
+          test_wakeup_back_to_back;
+        Alcotest.test_case "coalesced waiters woken by finish" `Quick
+          test_wakeup_coalesced;
+        Alcotest.test_case "shutdown drain releases waiters" `Quick
+          test_wakeup_shutdown_drain;
+        Alcotest.test_case "departed waiter does not kill the daemon" `Quick
+          test_departed_waiter;
         Alcotest.test_case "tracing is byte-neutral" `Quick
           test_tracing_neutral_byte_identity;
         Alcotest.test_case "shutdown request" `Quick test_shutdown_request ] )
